@@ -9,10 +9,10 @@ at the repository root:
   baseline, cold-cache serial, and cached + parallel (``--jobs``);
 * differential fuzzing throughput (``repro fuzz``) -- serial vs
   parallel candidate evaluation for a fixed seed and iteration count;
-* the evaluator axis (``--evaluator ast``/``core``/``compiled``) --
-  the recursive AST walker against the iterative Core-IR evaluator and
-  the direct-threaded compiled backend, on a serial warm-cache
-  compliance run (best of three) and on fuzz throughput;
+* the evaluator axis (``--evaluator core``/``compiled``) -- the
+  iterative Core-IR evaluator against the direct-threaded compiled
+  backend, on a serial warm-cache compliance run (best of three) and
+  on fuzz throughput;
 * the warm-start axis (ISSUE 8) -- a cold compliance run populates the
   on-disk compile cache, every in-memory layer is dropped, and the
   re-run must perform **zero frontend compiles** (every Core program
@@ -40,9 +40,9 @@ parallel compliance report or the parallel fuzz groups diverge from the
 serial ones, or if any evaluator renders a differing compliance or
 fuzz report**, so CI's benchmark smoke job doubles as a determinism
 gate for the worker pool.  The evaluator axis additionally gates
-**compiled >= 2x AST on the serial warm-cache compliance run** (best of
-three timings each): the compiled backend is the process default and
-must deliver the speedup that justified it.  Read the compliance
+**compiled >= 2x Core on the serial warm-cache compliance run** (best
+of three timings each): the compiled backend is the process default
+and must deliver the speedup that justified it.  Read the compliance
 number with its mechanism in mind: warm-cache repeats of a pure run
 are served by the compiled backend's run memo (see
 :mod:`repro.core.compile`), so the compliance axis measures the warm
@@ -248,7 +248,7 @@ def bench_fuzz(seed, iterations, jobs, shrink_budget, disk_base):
 
 
 def bench_evaluators(cases, seed, iterations, shrink_budget, disk_base):
-    """The evaluator axis: AST walker vs Core vs compiled, serial.
+    """The evaluator axis: Core vs compiled, serial.
 
     Compliance timings are warm-cache best-of-three: one untimed run
     populates the compile/elaboration/threading caches (and, for the
@@ -257,7 +257,7 @@ def bench_evaluators(cases, seed, iterations, shrink_budget, disk_base):
     test -- evaluator speed in the steady state the suite actually
     runs in -- from compile-stage cost, which the cold-vs-cached
     compare numbers already capture.  The rendered compliance and fuzz
-    reports must be byte-identical across all three evaluators.
+    reports must be byte-identical across the two evaluators.
     """
     def compliance(evaluator):
         fresh_disk(disk_base, f"eval-{evaluator}")
@@ -286,21 +286,17 @@ def bench_evaluators(cases, seed, iterations, shrink_budget, disk_base):
     timings = {}
     t_compliance = {}
     t_fuzz = {}
-    for evaluator in ("ast", "core", "compiled"):
+    for evaluator in ("core", "compiled"):
         reports[evaluator], t_compliance[evaluator] = compliance(evaluator)
         reports[f"fuzz_{evaluator}"], t_fuzz[evaluator] = fuzz(evaluator)
         timings[f"compliance_{evaluator}_s"] = \
             round(t_compliance[evaluator], 4)
         timings[f"fuzz_{evaluator}_programs_per_s"] = \
             round(iterations / t_fuzz[evaluator], 3)
-    timings["speedup_core_compliance"] = \
-        round(t_compliance["ast"] / t_compliance["core"], 3)
-    timings["speedup_core_fuzz"] = \
-        round(t_fuzz["ast"] / t_fuzz["core"], 3)
     timings["speedup_compiled_compliance"] = \
-        round(t_compliance["ast"] / t_compliance["compiled"], 3)
+        round(t_compliance["core"] / t_compliance["compiled"], 3)
     timings["speedup_compiled_fuzz"] = \
-        round(t_fuzz["ast"] / t_fuzz["compiled"], 3)
+        round(t_fuzz["core"] / t_fuzz["compiled"], 3)
     return reports, timings
 
 
@@ -483,25 +479,23 @@ def main(argv: list[str] | None = None) -> int:
               f"compiles (expected 0: compile identity is "
               f"policy-independent)", file=sys.stderr)
         ok = False
-    for other in ("core", "compiled"):
-        if evaluator_reports[other] != evaluator_reports["ast"]:
-            print(f"FAIL: {other}-evaluator compliance report diverges "
-                  f"from the AST walker's", file=sys.stderr)
-            ok = False
-        if evaluator_reports[f"fuzz_{other}"] != evaluator_reports["fuzz_ast"]:
-            print(f"FAIL: {other}-evaluator fuzz report diverges from "
-                  f"the AST walker's", file=sys.stderr)
-            ok = False
+    if evaluator_reports["compiled"] != evaluator_reports["core"]:
+        print("FAIL: compiled-evaluator compliance report diverges "
+              "from the Core evaluator's", file=sys.stderr)
+        ok = False
+    if evaluator_reports["fuzz_compiled"] != evaluator_reports["fuzz_core"]:
+        print("FAIL: compiled-evaluator fuzz report diverges from the "
+              "Core evaluator's", file=sys.stderr)
+        ok = False
 
-    # Evaluator-cost gate (ISSUE 6): the compiled backend is the
-    # process default, so it must deliver >= 2x over the AST walker on
-    # the serial warm-cache compliance run (best-of-three each).  The
-    # Core evaluator's timings are still reported -- it is the
-    # debugging oracle, not the default -- but no longer gated.
+    # Evaluator-cost gate: the compiled backend is the process default,
+    # so it must deliver >= 2x over the Core evaluator it is checked
+    # against on the serial warm-cache compliance run (best-of-three
+    # each).
     if evaluator_timings["speedup_compiled_compliance"] < 2.0:
         print(f"FAIL: compiled backend below the 2x compliance gate "
               f"({evaluator_timings['compliance_compiled_s']}s vs "
-              f"{evaluator_timings['compliance_ast_s']}s = "
+              f"{evaluator_timings['compliance_core_s']}s = "
               f"{evaluator_timings['speedup_compiled_compliance']}x)",
               file=sys.stderr)
         ok = False
@@ -582,16 +576,12 @@ def main(argv: list[str] | None = None) -> int:
           f"programs/s, parallel "
           f"{fuzz_timings['parallel_programs_per_s']} programs/s "
           f"({fuzz_timings['speedup_parallel']}x)")
-    print(f"evaluator compliance: ast "
-          f"{evaluator_timings['compliance_ast_s']}s, core "
-          f"{evaluator_timings['compliance_core_s']}s "
-          f"({evaluator_timings['speedup_core_compliance']}x), compiled "
+    print(f"evaluator compliance: core "
+          f"{evaluator_timings['compliance_core_s']}s, compiled "
           f"{evaluator_timings['compliance_compiled_s']}s "
           f"({evaluator_timings['speedup_compiled_compliance']}x)")
-    print(f"evaluator fuzz: ast "
-          f"{evaluator_timings['fuzz_ast_programs_per_s']}, core "
-          f"{evaluator_timings['fuzz_core_programs_per_s']} "
-          f"({evaluator_timings['speedup_core_fuzz']}x), compiled "
+    print(f"evaluator fuzz: core "
+          f"{evaluator_timings['fuzz_core_programs_per_s']}, compiled "
           f"{evaluator_timings['fuzz_compiled_programs_per_s']} "
           f"programs/s ({evaluator_timings['speedup_compiled_fuzz']}x)")
     print(f"coverage: blind {coverage_timings['blind_ops_per_1k']} "

@@ -319,8 +319,13 @@ class Capability:
         exactly representable.  Requesting bounds outside the current
         bounds is not an authority the capability conveys, so the result's
         tag is cleared (the CHERI-RISC-V v9 behaviour the paper's S5.2
-        notes the ISA is converging on, rather than trapping).
+        notes the ISA is converging on, rather than trapping).  A
+        region reaching past the top of the address space is out of
+        bounds of every capability: the tag is cleared and the bounds
+        are left as they were.
         """
+        if base + length > 1 << self.arch.address_width:
+            return self.with_tag(False), False
         fields_, exact = CompressedBounds.encode(
             self.arch.compression, base, length)
         monotonic = (self.decoded().contains(base, length)

@@ -5,10 +5,9 @@ plus a memory object model.  This package now reproduces that
 architecture end to end: the typed AST is *elaborated*
 (:mod:`repro.core.elaborate`) into an explicit-effect Core IR
 (:mod:`repro.core.coreir`) executed by an iterative evaluator with an
-explicit frame stack (:mod:`repro.core.coreeval`) -- the process
-default.  The original recursive AST walker
-(:mod:`repro.core.interp`) is retained behind ``--evaluator ast`` as
-the differential oracle for the Core pipeline.  As in Cerberus, *all*
+explicit frame stack (:mod:`repro.core.coreeval`), whose
+direct-threaded twin (:mod:`repro.core.compile`) is the process
+default and is held byte-identical to it.  As in Cerberus, *all*
 memory-related semantics lives in :mod:`repro.memory`; this package
 only performs typing, conversions, control flow, and the explicit
 capability-derivation elaboration of S4.4.
@@ -21,18 +20,15 @@ from repro.core.coreeval import (
 )
 from repro.core.coreir import CoreProgram, render_core
 from repro.core.elaborate import ElaborationError, elaborate_program
-from repro.core.interp import Interpreter, run_program
 from repro.core.cparser import parse_program
 
 __all__ = [
     "CoreEvaluator",
     "CoreProgram",
     "ElaborationError",
-    "Interpreter",
     "default_evaluator",
     "elaborate_program",
     "parse_program",
     "render_core",
-    "run_program",
     "set_default_evaluator",
 ]

@@ -32,7 +32,22 @@ from repro.memory.values import (
 from repro.reporting.capprint import format_capability
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.interp import Interpreter
+    from repro.core.coreeval import CoreEvaluator
+
+
+class ExitSignal(Exception):
+    """``exit(status)``: unwinds to the evaluator's outcome mapping."""
+
+    def __init__(self, status: int) -> None:
+        self.status = status
+
+
+class AbortSignal(Exception):
+    """``abort()``: unwinds to the evaluator's outcome mapping."""
+
+    def __init__(self, detail: str) -> None:
+        self.detail = detail
+
 
 #: Runtime-provided (not header-intrinsic) CHERI helpers.
 CHERI_RUNTIME_NAMES = frozenset({
@@ -52,7 +67,7 @@ LIBC_NAMES = frozenset({
 BUILTIN_NAMES = LIBC_NAMES | CHERI_RUNTIME_NAMES | frozenset(SIGNATURES)
 
 
-def dispatch(interp: "Interpreter", name: str, args: list[MemoryValue],
+def dispatch(interp: "CoreEvaluator", name: str, args: list[MemoryValue],
              line: int) -> MemoryValue | None:
     if name in SIGNATURES:
         result = _intrinsic(interp, name, args, line)
@@ -64,7 +79,7 @@ def dispatch(interp: "Interpreter", name: str, args: list[MemoryValue],
     return handler(interp, args, line)
 
 
-def _trace_render(interp: "Interpreter", value: MemoryValue) -> str:
+def _trace_render(interp: "CoreEvaluator", value: MemoryValue) -> str:
     """Render a value for the ``intrinsic.call`` trace payload in the
     Appendix-A capprint style (provenance-free under hardware)."""
     hardware = interp.model.hardware
@@ -84,7 +99,7 @@ def _trace_render(interp: "Interpreter", value: MemoryValue) -> str:
     return str(value)
 
 
-def _emit_intrinsic_call(interp: "Interpreter", bus, name: str,
+def _emit_intrinsic_call(interp: "CoreEvaluator", bus, name: str,
                          args: list[MemoryValue],
                          result: MemoryValue) -> None:
     ctx = {}
@@ -111,7 +126,7 @@ def _emit_intrinsic_call(interp: "Interpreter", bus, name: str,
 # ---------------------------------------------------------------------------
 
 
-def _value_capability(interp: "Interpreter",
+def _value_capability(interp: "CoreEvaluator",
                       value: MemoryValue) -> tuple[Capability, Provenance,
                                                    CType]:
     """Extract the capability view of any capability-carrying argument
@@ -130,7 +145,7 @@ def _value_capability(interp: "Interpreter",
                      f"{value.ctype}")
 
 
-def _rebuild(interp: "Interpreter", ctype: CType, cap: Capability,
+def _rebuild(interp: "CoreEvaluator", ctype: CType, cap: Capability,
              prov: Provenance) -> MemoryValue:
     """Package an intrinsic's capability result at the argument's type
     (the SAME_AS_ARG0 return-type derivation)."""
@@ -145,7 +160,8 @@ def _rebuild(interp: "Interpreter", ctype: CType, cap: Capability,
         if isinstance(ctype, Integer) else cap.address))
 
 
-def _int_result(ctype: CType, value, interp: "Interpreter") -> MemoryValue:
+def _int_result(ctype: CType, value,
+                interp: "CoreEvaluator") -> MemoryValue:
     if value is UNSPECIFIED:
         return MVUnspecified(ctype)
     if isinstance(value, bool):
@@ -155,7 +171,7 @@ def _int_result(ctype: CType, value, interp: "Interpreter") -> MemoryValue:
         interp.layout.wrap(ctype.kind, value)))
 
 
-def _intrinsic(interp: "Interpreter", name: str, args: list[MemoryValue],
+def _intrinsic(interp: "CoreEvaluator", name: str, args: list[MemoryValue],
                line: int) -> MemoryValue:
     sig = SIGNATURES[name]
     if len(args) != len(sig.params):
@@ -163,10 +179,10 @@ def _intrinsic(interp: "Interpreter", name: str, args: list[MemoryValue],
     intr = interp.intrinsics
     if name == "cheri_representable_length":
         return _int_result(SIZE_T, intr.representable_length(
-            _plain_int(args[0], name)), interp)
+            _length(interp, args[0], name)), interp)
     if name == "cheri_representable_alignment_mask":
         return _int_result(SIZE_T, intr.representable_alignment_mask(
-            _plain_int(args[0], name)), interp)
+            _length(interp, args[0], name)), interp)
 
     cap, prov, arg_type = _value_capability(interp, args[0])
 
@@ -201,12 +217,15 @@ def _intrinsic(interp: "Interpreter", name: str, args: list[MemoryValue],
               else intr.is_subset)
         return _int_result(BOOL, fn(cap, cap2), interp)
 
+    if name in ("cheri_bounds_set", "cheri_bounds_set_exact"):
+        fn = (intr.bounds_set if name == "cheri_bounds_set"
+              else intr.bounds_set_exact)
+        new_cap = fn(cap, _length(interp, args[1], name))
+        return _rebuild(interp, arg_type, new_cap, prov)
     mutators = {
         "cheri_address_set": intr.address_set,
         "cheri_offset_set": intr.offset_set,
         "cheri_perms_and": intr.perms_and,
-        "cheri_bounds_set": intr.bounds_set,
-        "cheri_bounds_set_exact": intr.bounds_set_exact,
     }
     if name in mutators:
         operand = _plain_int(args[1], name)
@@ -215,6 +234,13 @@ def _intrinsic(interp: "Interpreter", name: str, args: list[MemoryValue],
     if name == "cheri_tag_clear":
         return _rebuild(interp, arg_type, intr.tag_clear(cap), prov)
     raise CTypeError(f"unhandled intrinsic {name}")
+
+
+def _length(interp: "CoreEvaluator", value: MemoryValue, name: str) -> int:
+    """A length argument converted to ``size_t`` as the intrinsic's
+    prototype (:data:`~repro.memory.intrinsics.SIGNATURES`) declares,
+    so a negative length wraps to a huge one."""
+    return interp.layout.wrap(IKind.SIZE, _plain_int(value, name))
 
 
 def _plain_int(value: MemoryValue, name: str) -> int:
@@ -491,12 +517,10 @@ def _bi_assert(interp, args, line):
 
 
 def _bi_abort(interp, args, line):
-    from repro.core.interp import AbortSignal
     raise AbortSignal("abort() called")
 
 
 def _bi_exit(interp, args, line):
-    from repro.core.interp import ExitSignal
     raise ExitSignal(_plain_int(args[0], "exit") & 0xFF)
 
 

@@ -1,8 +1,9 @@
 """Abstract syntax for the CHERI C subset.
 
 Every node carries a source line for error reporting.  The AST is plain
-data: the evaluator (:mod:`repro.core.interp`) gives it meaning, and the
-modelled optimiser (:mod:`repro.core.optimizer`) rewrites it.
+data: the modelled optimiser (:mod:`repro.core.optimizer`) rewrites it,
+and elaboration (:mod:`repro.core.elaborate`) lowers it to the Core IR
+that the evaluator (:mod:`repro.core.coreeval`) gives meaning.
 """
 
 from __future__ import annotations

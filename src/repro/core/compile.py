@@ -11,7 +11,7 @@ index the table).  Three superinstructions fuse the hot op pairs
 per-site inline cache, and pure constant regions are folded at compile
 time.
 
-Semantic ground rules (the whole point of the three-way differential
+Semantic ground rules (the whole point of the two-way differential
 gate):
 
 * **Charge identity.**  Every closure charges exactly the steps its
@@ -52,7 +52,7 @@ frozen, the allocator is deterministic, and every observable
 :class:`~repro.errors.Outcome`.  The evaluator therefore memoises the
 complete Outcome per ``(entry point, run configuration)`` on the
 :class:`CompiledProgram`: the first run of each configuration executes
-for real (and is what the three-way differential gate checks), repeats
+for real (and is what the two-way differential gate checks), repeats
 are served from the memo.  Traced, metered, or fault-injected runs
 never consult or populate it.  This is the dominant term in the
 compliance benchmark's warm-cache speedup; the fuzz axis (fresh

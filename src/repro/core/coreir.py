@@ -14,8 +14,8 @@ Op taxonomy (docs/SEMANTICS.md has the rationale per group):
 
 ``Charge``
     pure step-metering op for an interior AST node (leaf ops carry
-    their own charge flag), keeping Core step counts identical to the
-    AST walker's per-node counts;
+    their own charge flag), so one step is charged per evaluated
+    statement or expression node;
 ``PushInt / PushString / LoadIdent / TypeInfo``
     value creation (literals, identifier loads with array/function
     decay, ``sizeof``/``alignof``/``offsetof``);
@@ -38,40 +38,51 @@ GlobalStore``
     object creation for local declarations and function-local statics;
 ``ResolveCall / ResolveTarget / Invoke / Ret / Halt``
     the calling convention: resolution (including function-pointer
-    capability checks) happens *before* argument evaluation, exactly as
-    in the AST walker; ``Invoke`` pushes a frame, ``Ret`` pops one --
+    capability checks) happens *before* argument evaluation;
+    ``Invoke`` pushes a frame, ``Ret`` pops one --
     call depth is bounded by the frame stack, not the host stack;
 ``VaStart / VaCopy / VaArgOp``
     the variadic-argument protocol;
 ``BuildArray / BuildStruct / BuildUnion / PushStrArray / PushZero``
     initialiser composition;
 ``RaiseOp``
-    runtime-raising op for programs the AST walker only rejects *when
-    executed* (elaboration is total: it never rejects parser output).
+    runtime-raising op for programs rejected only *when executed*
+    (elaboration is total: it never rejects parser output).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.core import builtins as builtin_mod
-from repro.core.interp import Binding, CHAR_CONST
 from repro.ctypes.types import (
-    ArrayT, FuncT, IKind, INT, Integer, Pointer, SIZE_T, StructT, UnionT,
-    VOID, Void,
+    ArrayT, CHAR_CONST, CType, INT, Integer, Pointer, SIZE_T, StructT,
+    UnionT,
 )
 from repro.errors import CTypeError, UB, UndefinedBehaviour
 from repro.memory.allocation import AllocKind
 from repro.memory.derivation import derive
 from repro.memory.values import (
     IntegerValue, MVArray, MVInteger, MVPointer, MVStruct, MVUnion,
-    MVUnspecified,
+    MVUnspecified, PointerValue,
 )
+
+
+@dataclass
+class Binding:
+    """A named object in scope: its declared type, the capability to
+    its storage, and its allocation id (0 when provenance is empty)."""
+
+    ctype: CType
+    ptr: PointerValue
+    alloc_id: int
 
 
 class Op:
     """One Core instruction.  ``charge`` marks the ops that count as an
-    evaluation step (exactly one charged op per AST-walker ``eval``/
-    ``exec_stmt`` call, so budgets and traces agree byte-for-byte
-    across evaluators).  ``run`` returns True when it switched the
+    evaluation step (exactly one charged op per evaluated statement or
+    expression node, so budgets and traces agree byte-for-byte across
+    evaluators).  ``run`` returns True when it switched the
     active frame (call/return)."""
 
     __slots__ = ("line", "charge", "id")
@@ -206,10 +217,10 @@ class TypeInfo(Op):
 
 
 class SizeofOf(Op):
-    """``sizeof(expr)``: the compile-time part of ``type_of`` is the
+    """``sizeof(expr)``: the static typing of the operand is the
     pre-elaborated ``steps`` chain; a non-static innermost operand was
     elaborated as ordinary rvalue ops whose result this op consumes
-    (matching the AST walker's evaluate-and-take-``.ctype`` fallback)."""
+    (evaluate and take its ``.ctype``)."""
 
     __slots__ = ("leaf", "steps")
     name = "sizeof_of"
@@ -725,7 +736,7 @@ class JumpIfTrue(Op):
 class SwitchDispatch(Op):
     """Pop the selector, pick a case label, push the switch scope.
     No match and no default jumps straight past the switch without
-    pushing a scope (exactly as the AST walker returns early)."""
+    pushing a scope."""
 
     __slots__ = ("cases", "stmt_targets", "end")
     name = "switch"
@@ -807,9 +818,9 @@ class PopScopes(Op):
 
 
 class RaiseOp(Op):
-    """Raise a runtime error the AST walker raises mid-evaluation;
-    elaboration is total, so rejection happens at the same execution
-    point (and is charged identically) rather than at compile time."""
+    """Raise a runtime error mid-evaluation; elaboration is total, so
+    rejection happens at the execution point (and is charged there)
+    rather than at compile time."""
 
     __slots__ = ("exc", "args")
     name = "raise"
@@ -834,7 +845,7 @@ class RaiseOp(Op):
 
 class DeclAlloc(Op):
     """Allocate + bind a local object (binding precedes initialisation,
-    as in the AST walker: ``int x = x;`` sees the new ``x``)."""
+    so ``int x = x;`` sees the new ``x``)."""
 
     __slots__ = ("decl", "readonly", "push_lv")
     name = "decl"
@@ -1038,7 +1049,7 @@ class BuildUnion(Op):
 class ResolveCall(Op):
     """Resolve a named call target *before* argument evaluation: local
     binding -> call through the stored function pointer (capability
-    checks happen here, as in the AST walker); otherwise builtin or
+    checks happen here); otherwise builtin or
     user function by name."""
 
     __slots__ = ("expr",)
@@ -1066,8 +1077,8 @@ class ResolveCall(Op):
             raise CTypeError(f"call to unknown function {name!r} "
                              f"(line {self.expr.line})")
         # A local/global object: call through the stored pointer.  The
-        # AST walker evaluates the function expression (one charged
-        # eval), then checks the capability before the arguments.
+        # function expression is evaluated (one charged step), then the
+        # capability is checked before the arguments.
         ev.charge_step()
         target = ev._eval_ident(self.expr.func)
         if not isinstance(target, MVPointer):

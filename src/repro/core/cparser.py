@@ -69,6 +69,11 @@ class Parser:
         self.typedefs: dict[str, CType] = dict(BUILTIN_TYPEDEFS)
         self.tags: dict[str, StructT] = {}
         self.constants = _limit_constants(layout)
+        #: Enclosing loops and switches of the statement being parsed:
+        #: ``break`` needs either, ``continue`` a loop (C11 6.8.6.2p1,
+        #: 6.8.6.3p1).
+        self.loop_depth = 0
+        self.switch_depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -531,11 +536,11 @@ class Parser:
             self.expect("(")
             cond = self.parse_expression()
             self.expect(")")
-            body = self.parse_statement()
+            body = self.parse_loop_body()
             return While(cond=cond, body=body, line=tok.line)
         if tok.is_kw("do"):
             self.next()
-            body = self.parse_statement()
+            body = self.parse_loop_body()
             self.expect("while")
             self.expect("(")
             cond = self.parse_expression()
@@ -554,9 +559,14 @@ class Parser:
         if tok.is_kw("switch"):
             return self.parse_switch()
         if tok.is_kw("break"):
+            if not (self.loop_depth or self.switch_depth):
+                raise self.error("break statement not within a loop "
+                                 "or switch")
             self.next(), self.expect(";")
             return Break(line=tok.line)
         if tok.is_kw("continue"):
+            if not self.loop_depth:
+                raise self.error("continue statement not within a loop")
             self.next(), self.expect(";")
             return Continue(line=tok.line)
         if self.at_declaration():
@@ -584,8 +594,14 @@ class Parser:
         if not self.peek().is_punct(")"):
             step = self.parse_expression()
         self.expect(")")
-        body = self.parse_statement()
+        body = self.parse_loop_body()
         return For(init=init, cond=cond, step=step, body=body, line=tok.line)
+
+    def parse_loop_body(self) -> Stmt:
+        self.loop_depth += 1
+        body = self.parse_statement()
+        self.loop_depth -= 1
+        return body
 
     def parse_switch(self) -> Stmt:
         tok = self.expect("switch")
@@ -607,7 +623,9 @@ class Parser:
                 self.expect(":")
                 cases.append(SwitchCase(None, len(stmts)))
                 continue
+            self.switch_depth += 1
             stmts.append(self.parse_statement())
+            self.switch_depth -= 1
         return Switch(cond=cond, stmts=tuple(stmts), cases=tuple(cases),
                       line=tok.line)
 

@@ -10,22 +10,22 @@ which call :func:`repro.memory.derivation.derive` explicitly).
 
 Two properties the rest of the stack depends on:
 
-* **Elaboration is total** over parser output.  Programs the AST walker
-  only rejects *when execution reaches the offending node* (calling an
-  unknown function, an initialiser list outside a declaration, ``++``
-  on a struct, ...) elaborate to a ``RaiseOp`` at the same execution
-  point, so both evaluators agree on every outcome -- including which
-  of two errors wins when a program contains both.
+* **Elaboration is total** over parser output.  Programs rejected only
+  *when execution reaches the offending node* (calling an unknown
+  function, an initialiser list outside a declaration, ``++`` on a
+  struct, ...) elaborate to a ``RaiseOp`` at that execution point, so
+  the outcome -- including which of two errors wins when a program
+  contains both -- follows evaluation order.
   :class:`ElaborationError` exists for *malformed* ASTs that the parser
   can never produce.
 
-* **Charge matching.**  The AST walker counts one step per
-  ``eval``/``exec_stmt`` call, pre-order.  Elaboration emits exactly
-  one charged op per AST node at the same pre-order position (interior
-  nodes get a standalone ``Charge``; leaf ops fold the charge in), so
-  step budgets, cut-off points, deadline polls, and traced event step
-  numbers are identical across evaluators -- the differential gate
-  checks reports byte-for-byte.
+* **Charge discipline.**  One step is charged per evaluated statement
+  or expression node, pre-order: elaboration emits exactly one charged
+  op per AST node at its pre-order position (interior nodes get a
+  standalone ``Charge``; leaf ops fold the charge in).  Step budgets,
+  cut-off points, deadline polls, and traced event step numbers are
+  therefore properties of the Core program, identical across
+  evaluators -- the differential gate checks reports byte-for-byte.
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ from repro.core.coreir import (
     StoreValue, SwitchDispatch, TypeInfo, UnaryArith, VaArgOp, VaCopy,
     VaStart, finalize_func,
 )
-from repro.core.interp import (
-    BreakSignal, CHAR_CONST, ContinueSignal, _array_of_const,
+from repro.ctypes.types import (
+    ArrayT, CHAR_CONST, INT, StructT, UnionT, Void, is_const_array,
 )
-from repro.ctypes.types import ArrayT, INT, StructT, UnionT, Void
 from repro.errors import CTypeError
 
 
@@ -73,8 +72,7 @@ class _Label:
 
 class _LoopCtx:
     """Targets for break/continue with the static scope depth each
-    unwinds to (``PopScopes`` replaces the AST walker's signal
-    exceptions)."""
+    unwinds to (``PopScopes`` + ``Jump``; no exceptions)."""
 
     __slots__ = ("break_label", "break_depth", "continue_label",
                  "continue_depth")
@@ -185,10 +183,8 @@ class _FuncElaborator:
             return
         if isinstance(node, Break):
             if not self.loops:
-                # Outside any loop the AST walker's BreakSignal escapes
-                # uncaught; replicate the crash, not new semantics.
-                self.emit(RaiseOp(BreakSignal, (), node.line))
-                return
+                raise ElaborationError(
+                    f"break outside a loop or switch (line {node.line})")
             ctx = self.loops[-1]
             self._unwind_to(ctx.break_depth, node.line)
             self.jump(Jump, ctx.break_label, node.line)
@@ -199,8 +195,8 @@ class _FuncElaborator:
                     self._unwind_to(ctx.continue_depth, node.line)
                     self.jump(Jump, ctx.continue_label, node.line)
                     return
-            self.emit(RaiseOp(ContinueSignal, (), node.line))
-            return
+            raise ElaborationError(
+                f"continue outside a loop (line {node.line})")
         self.emit(RaiseOp(
             CTypeError, (f"unhandled statement {type(node).__name__}",),
             node.line))
@@ -263,7 +259,7 @@ class _FuncElaborator:
             tuple((c.value, c.index) for c in node.cases), node.line)
         self.emit(dispatch)
         stmt_labels = [_Label() for _ in node.stmts]
-        # Break unwinds the switch scope too (the AST walker's finally).
+        # Break unwinds the switch scope too.
         self.loops.append(_LoopCtx(exit_, self.depth, None, 0))
         self.depth += 1
         for label, sub in zip(stmt_labels, node.stmts):
@@ -294,7 +290,7 @@ class _FuncElaborator:
             self.emit(StaticBind(key, decl.name, decl.line))
             self._fixups.append((_StaticEnd(check), bind))
             return
-        readonly = decl.ctype.const or _array_of_const(decl.ctype)
+        readonly = decl.ctype.const or is_const_array(decl.ctype)
         self.emit(DeclAlloc(decl, readonly, decl.init is not None,
                             decl.line))
         if decl.init is not None:
@@ -349,7 +345,7 @@ class _FuncElaborator:
 
     def expr(self, node: Expr) -> None:
         """Rvalue elaboration: exactly one charged op for this node
-        (before its sub-evaluations), matching the walker's ``eval``."""
+        (before its sub-evaluations)."""
         if isinstance(node, IntLit):
             self.emit(PushInt(node.ctype or INT, node.value, node.line))
             return
@@ -436,7 +432,7 @@ class _FuncElaborator:
             node.line))
 
     def lvalue(self, node: Expr) -> None:
-        """Lvalue elaboration (``lval`` in the walker): leaves a
+        """Lvalue elaboration: leaves a
         ``(ctype, pointer)`` pair; charges only for sub-*evaluations*,
         never for the lvalue node itself."""
         if isinstance(node, Ident):
@@ -558,9 +554,9 @@ class _FuncElaborator:
         self.emit(VaCopy(node.line))
 
     def _sizeof_expr(self, node: SizeofExpr) -> None:
-        """Mirror ``type_of``'s static descent; a node it cannot type
-        statically becomes an evaluated leaf (the walker's fallback of
-        evaluating the operand and taking its ``.ctype``)."""
+        """Type the operand statically by descent; a node that cannot
+        be typed statically becomes an evaluated leaf (the operand is
+        evaluated and its ``.ctype`` taken)."""
         steps: list[tuple] = []
         leaf = node.operand
         while True:
@@ -658,9 +654,8 @@ def _registered_functions(program: Program) -> dict[str, FuncDef]:
 def elaborate_program(program: Program) -> CoreProgram:
     """Elaborate a typed AST ``Program`` into a :class:`CoreProgram`.
 
-    Total over parser output: programs that fail at runtime under the
-    AST walker elaborate to Core that fails identically at the same
-    execution point.
+    Total over parser output: programs that fail at runtime elaborate
+    to Core that fails at the execution point that reaches the error.
     """
     if not isinstance(program, Program):
         raise ElaborationError(

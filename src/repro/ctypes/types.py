@@ -248,6 +248,13 @@ UINTPTR = Integer(IKind.UINTPTR)
 PTRADDR = Integer(IKind.PTRADDR)
 SIZE_T = Integer(IKind.SIZE)
 PTRDIFF_T = Integer(IKind.PTRDIFF)
+#: The element type of a string literal's array.
+CHAR_CONST = Integer(IKind.CHAR, const=True)
+
+
+def is_const_array(ctype: CType) -> bool:
+    """An array whose elements are const (its storage is read-only)."""
+    return isinstance(ctype, ArrayT) and ctype.elem.const
 
 
 def strip_const(ctype: CType) -> CType:

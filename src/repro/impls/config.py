@@ -6,9 +6,10 @@ from dataclasses import dataclass, field
 
 from repro.capability.abstract import Architecture
 from repro.core.cast import Program
-from repro.core.coreeval import CoreEvaluator, default_evaluator
+from repro.core.coreeval import (
+    CoreEvaluator, EVALUATORS, default_evaluator,
+)
 from repro.core.coreir import CoreProgram
-from repro.core.interp import Interpreter
 from repro.ctypes.layout import TargetLayout
 from repro.errors import CSyntaxError, CTypeError, Outcome
 from repro.memory.allocator import AddressMap
@@ -106,9 +107,8 @@ class Implementation:
         :class:`~repro.core.compile.CompiledProgram`; ``evaluator``
         picks the strategy (``None`` = the process default,
         ``compiled``) -- a representation short of the chosen
-        evaluator's is elaborated/threaded on the fly, and a Core or
-        compiled program handed to the AST walker runs its retained
-        ``ast``.  When a :class:`~repro.robust.Budget` (or a test-only
+        evaluator's is elaborated/threaded on the fly.  When a
+        :class:`~repro.robust.Budget` (or a test-only
         :class:`~repro.robust.FaultPlan`) is given, the run is governed:
         it always terminates with a structured outcome, never a hang or
         a raw ``RecursionError``/``MemoryError``.
@@ -121,6 +121,9 @@ class Implementation:
         model = self.fresh_model(bus=bus, meter=meter)
         if evaluator is None:
             evaluator = default_evaluator()
+        elif evaluator not in EVALUATORS:
+            raise ValueError(f"unknown evaluator {evaluator!r} "
+                             f"(expected one of {EVALUATORS})")
         if evaluator == "compiled":
             if not isinstance(program, CompiledProgram):
                 from repro.core.compile import compile_core as thread_core
@@ -129,16 +132,12 @@ class Implementation:
                     program = elaborate_program(program)
                 program = thread_core(program, self)
             return CompiledEvaluator(program, model).run(main)
-        if evaluator == "core":
-            if isinstance(program, CompiledProgram):
-                program = program.core
-            elif not isinstance(program, CoreProgram):
-                from repro.core.elaborate import elaborate_program
-                program = elaborate_program(program)
-            return CoreEvaluator(program, model).run(main)
-        if isinstance(program, (CoreProgram, CompiledProgram)):
-            program = program.ast
-        return Interpreter(program, model).run(main)
+        if isinstance(program, CompiledProgram):
+            program = program.core
+        elif not isinstance(program, CoreProgram):
+            from repro.core.elaborate import elaborate_program
+            program = elaborate_program(program)
+        return CoreEvaluator(program, model).run(main)
 
     def run(self, source: str, main: str = "main", *, bus=None,
             use_cache: bool | None = None, budget=None,
@@ -148,14 +147,13 @@ class Implementation:
 
         ``bus`` attaches an :class:`~repro.obs.events.EventBus` for the
         run (``repro trace``, fuzz evidence capture); None = untraced.
-        ``evaluator`` selects ``ast`` (the recursive walker), ``core``
-        (the iterative Core evaluator), or ``compiled`` (the
-        direct-threaded closure backend); ``None`` defers to the
-        process default.  ``budget``/``faults`` govern the run stage
-        (see :meth:`run_compiled`); the compile stage additionally
-        honours a fault plan's ``compile_delay`` and converts host
-        recursion blow-ups on pathological inputs into structured
-        outcomes.
+        ``evaluator`` selects ``core`` (the iterative Core evaluator)
+        or ``compiled`` (the direct-threaded closure backend); ``None``
+        defers to the process default.  ``budget``/``faults`` govern
+        the run stage (see :meth:`run_compiled`); the compile stage
+        additionally honours a fault plan's ``compile_delay`` and
+        converts host recursion blow-ups on pathological inputs into
+        structured outcomes.
         """
         if faults is not None and faults.compile_delay is not None:
             import time
@@ -166,10 +164,8 @@ class Implementation:
             if evaluator == "compiled":
                 program = compile_threaded(self, source,
                                            use_cache=use_cache)
-            elif evaluator == "core":
-                program = compile_core(self, source, use_cache=use_cache)
             else:
-                program = self.compile(source, use_cache=use_cache)
+                program = compile_core(self, source, use_cache=use_cache)
         except (CSyntaxError, CTypeError) as exc:
             return Outcome.frontend_error(str(exc))
         except RecursionError:

@@ -77,10 +77,10 @@ class Event:
         data: JSON-serialisable payload; ``what`` holds a one-line
             human rendering used by the explainer.
         core_op: the Core IR op id (``function:index``) that was
-            executing at emit time, or ``None`` when untraced or
-            running under the AST walker (whose events carry no op
-            context).  Distinct from the ``op`` *payload* key some
-            producers use for their own operation name.
+            executing at emit time, or ``None`` outside op execution
+            (e.g. the run-level ``run.outcome`` summary).  Distinct
+            from the ``op`` *payload* key some producers use for their
+            own operation name.
     """
 
     seq: int

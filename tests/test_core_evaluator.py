@@ -7,18 +7,17 @@ Four properties are defended here:
   a structured ``resource_exhausted`` under the semantics' own frame
   limit, serially and through the worker pool, without the host
   recursion limit ever being consulted or adjusted (the
-  ``sys.setrecursionlimit`` dance is gone from :mod:`repro.core.interp`
-  and must not return).
+  ``sys.setrecursionlimit`` dance must not return).
 * **Evaluation order** -- sequence points, short-circuiting, the
   conditional operator, and (defined-order) side-effect interleavings
-  behave identically under the AST walker and the Core evaluator, down
-  to stdout and the metered step count.
+  behave identically under the Core evaluator and the compiled backend,
+  down to stdout and the metered step count.
 * **Deterministic elaboration** -- elaborating the same program twice
   yields the same op listing, and the Appendix-A intptr bitops program
   elaborates to a golden listing surfaced by ``repro run --dump-core``.
 * **No signal-exception control flow** -- the Core evaluator performs
-  break/continue as jumps and return as a frame pop; the walker's
-  signal exceptions must not appear in its execution path.
+  break/continue as jumps and return as a frame pop; no
+  ``ReturnSignal``/``BreakSignal``/``ContinueSignal`` exists.
 """
 
 from __future__ import annotations
@@ -26,10 +25,12 @@ from __future__ import annotations
 import pathlib
 import sys
 
+import pytest
+
 from repro.core import (
     CoreEvaluator, default_evaluator, elaborate_program, render_core,
 )
-from repro.core.interp import CALL_DEPTH_LIMIT
+from repro.core.coreeval import CALL_DEPTH_LIMIT
 from repro.errors import OutcomeKind
 from repro.impls import CERBERUS, by_name
 from repro.perf import compile_core, compile_program
@@ -51,14 +52,15 @@ int main(void) { return f(100000); }
 
 def both(source: str, **kwargs):
     """One program under both evaluators; callers assert agreement."""
-    return (CERBERUS.run(source, evaluator="ast", **kwargs),
+    return (CERBERUS.run(source, evaluator="compiled", **kwargs),
             CERBERUS.run(source, evaluator="core", **kwargs))
 
 
 class TestIterativeExecution:
     def test_compiled_is_the_default_evaluator(self):
         # The direct-threaded compiled backend took the default over
-        # from the Core evaluator; both oracles stay selectable.
+        # from the Core evaluator, which stays selectable as the
+        # reference.
         assert default_evaluator() == "compiled"
 
     def test_deep_call_chain_is_structured_resource_exhausted(self):
@@ -87,34 +89,70 @@ class TestIterativeExecution:
 
     def test_recursionlimit_dance_has_not_returned(self):
         src = pathlib.Path("src/repro/core")
-        for module in ("interp.py", "coreeval.py", "coreir.py",
-                       "elaborate.py"):
+        for module in ("coreeval.py", "coreir.py", "elaborate.py",
+                       "compile.py"):
             assert "setrecursionlimit" not in \
                 (src / module).read_text(encoding="utf-8")
 
     def test_no_signal_exception_control_flow_in_core(self):
-        # Return is a frame pop, break/continue are jumps: the walker's
-        # signal exceptions must not appear in the Core execution path.
-        # (elaborate.py may *name* them, but only to reproduce the
-        # walker's crash behaviour for break/continue outside a loop.)
+        # Return is a frame pop, break/continue are jumps (a stray
+        # break/continue is a frontend error): no control-flow signal
+        # exception is raised, caught, or imported anywhere in the
+        # execution stack.
         src = pathlib.Path("src/repro/core")
-        for module in ("coreeval.py", "coreir.py"):
+        for module in ("coreeval.py", "coreir.py", "elaborate.py",
+                       "compile.py"):
             for line in (src / module).read_text(
                     encoding="utf-8").splitlines():
                 if any(s in line for s in ("ReturnSignal", "BreakSignal",
                                            "ContinueSignal")):
-                    # Prose may name them; code must not raise, catch,
-                    # or import them.
                     assert not any(kw in line for kw in
                                    ("raise", "except", "import")), \
                         (module, line)
 
 
+class TestStrayJumps:
+    """``break`` outside a loop or switch and ``continue`` outside a
+    loop violate constraints (C11 6.8.6.3p1, 6.8.6.2p1): the frontend
+    rejects them, so they come back as a structured frontend error."""
+
+    @pytest.mark.parametrize("evaluator", ["core", "compiled"])
+    @pytest.mark.parametrize("source,message", [
+        ("int main(void) { break; }", "break statement not within"),
+        ("int main(void) { continue; }", "continue statement not within"),
+        ("int main(void) { if (1) { break; } return 0; }",
+         "break statement not within"),
+        ("int main(void) { switch (1) { case 1: continue; } return 0; }",
+         "continue statement not within"),
+        ("int main(void) { while (0) { } break; return 0; }",
+         "break statement not within"),
+    ])
+    def test_stray_jump_is_a_frontend_error(self, evaluator, source,
+                                            message):
+        out = CERBERUS.run(source, evaluator=evaluator)
+        assert out.kind is OutcomeKind.ERROR, out.describe()
+        assert message in out.detail
+
+    @pytest.mark.parametrize("evaluator", ["core", "compiled"])
+    def test_jumps_inside_loops_and_switches_still_run(self, evaluator):
+        out = CERBERUS.run("""
+int main(void) {
+  int i, n = 0;
+  for (i = 0; i < 5; i++) {
+    switch (i) { case 1: break; case 3: continue; default: n++; }
+    do { n += 10; break; } while (1);
+  }
+  return n;
+}
+""", evaluator=evaluator)
+        assert (out.kind, out.exit_status) == (OutcomeKind.EXIT, 43)
+
+
 class TestEvaluationOrder:
     def assert_agree(self, source: str, exit_status: int,
                      stdout: str | None = None):
-        ast, core = both(source)
-        assert ast == core
+        compiled, core = both(source)
+        assert compiled == core
         assert core.kind is OutcomeKind.EXIT
         assert core.exit_status == exit_status
         if stdout is not None:
@@ -159,10 +197,10 @@ int main(void) { return 1 ? pick(3) : pick(4); }
     def test_unsequenced_side_effects_are_deterministic(self):
         # The subset fixes left-to-right operand evaluation; both
         # evaluators must make the same (single) choice.
-        ast, core = both(
+        compiled, core = both(
             "int main(void) { int i = 1;"
             " int r = (i = 2) + i; return r; }")
-        assert ast == core
+        assert compiled == core
         assert core.kind is OutcomeKind.EXIT
 
     def test_call_arguments_left_to_right(self):
@@ -174,8 +212,8 @@ int main(void) { return f(note(1), note(2), note(3)); }
 """, 6, stdout="123")
 
     def test_step_counts_match_across_evaluators(self):
-        # The charge-matching discipline: budgets metered on Core steps
-        # cut off at exactly the walker's step number.
+        # The charge discipline: the compiled backend's fused and
+        # folded closures cut off at exactly the Core loop's step.
         source = """
 int main(void) {
   int total = 0;
@@ -185,8 +223,9 @@ int main(void) {
 }
 """
         for max_steps in (50, 137, 1000):
-            ast, core = both(source, budget=Budget(max_steps=max_steps))
-            assert ast == core, max_steps
+            compiled, core = both(source,
+                                  budget=Budget(max_steps=max_steps))
+            assert compiled == core, max_steps
 
 
 class TestElaborationDeterminism:

@@ -5,6 +5,8 @@ import pytest
 from repro.capability.otype import OType
 from repro.capability.permissions import Permission
 from repro.ctypes import INT
+from repro.errors import OutcomeKind
+from repro.impls import by_name
 from repro.memory import IntegerValue
 from repro.memory.allocation import AllocKind
 from repro.memory.derivation import derive
@@ -162,3 +164,59 @@ class TestIntrinsics:
             assert name.startswith("cheri_")
             assert sig.params, name
             assert sig.ret is SAME_AS_ARG0 or sig.ret is not None
+
+
+class TestOutOfRangeLengths:
+    """Length arguments are ``size_t`` (as the intrinsics' prototypes
+    declare): a negative length wraps to a huge one, and a region past
+    the top of the address space is out of bounds like any other --
+    the tag is cleared.  None of these may escape as a host error."""
+
+    IMPLS = ("cerberus", "clang-morello-O0", "cheriot-O0")
+
+    BOUNDS = """
+#include <cheriintrin.h>
+#include <stddef.h>
+int main(void) {
+  int x[4];
+  int *p = %s(x, %s);
+  return cheri_tag_get(p);
+}
+"""
+
+    @pytest.mark.parametrize("impl_name", IMPLS)
+    @pytest.mark.parametrize("evaluator", ["core", "compiled"])
+    @pytest.mark.parametrize("fn", ["cheri_bounds_set",
+                                    "cheri_bounds_set_exact"])
+    @pytest.mark.parametrize("length", ["-1", "(size_t)-1", "-16"])
+    def test_bounds_past_the_address_space_clear_the_tag(
+            self, impl_name, evaluator, fn, length):
+        out = by_name(impl_name).run(self.BOUNDS % (fn, length),
+                                     evaluator=evaluator)
+        assert out.kind is OutcomeKind.EXIT, out.describe() + out.detail
+        assert out.exit_status == 0
+
+    @pytest.mark.parametrize("impl_name", IMPLS)
+    @pytest.mark.parametrize("evaluator", ["core", "compiled"])
+    def test_representability_queries_take_size_t(self, impl_name,
+                                                   evaluator):
+        impl = by_name(impl_name)
+        source = """
+#include <cheriintrin.h>
+#include <stddef.h>
+int main(void) {
+  size_t n = cheri_representable_length(-1);
+  size_t m = cheri_representable_alignment_mask(-1);
+  return (n == cheri_representable_length((size_t)-1))
+      + 2 * (m == cheri_representable_alignment_mask((size_t)-1));
+}
+"""
+        out = impl.run(source, evaluator=evaluator)
+        assert out.kind is OutcomeKind.EXIT, out.describe() + out.detail
+        assert out.exit_status == 3
+
+    def test_capability_layer_clears_the_tag(self, cap):
+        top = 1 << cap.arch.address_width
+        narrowed, exact = cap.set_bounds(cap.address, top - cap.address + 1)
+        assert not narrowed.tag and not exact
+        assert (narrowed.base, narrowed.top) == (cap.base, cap.top)

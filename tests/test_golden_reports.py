@@ -4,6 +4,10 @@ The Appendix-A trace, the Figure-1 layout, and the S5 compliance report
 are fully deterministic, so any change to their regenerated text signals
 a semantic change in capability printing, allocator address policy, the
 encoding layout, or an implementation's behaviour on the 94-test suite.
+The seed-0 fuzz reports (12 and 500 programs) pin generation,
+divergence classification, and shrinking the same way; they were
+frozen while three evaluators still agreed on them, and the 500-program
+one is checked by ``scripts/evaluator_differential.py``.
 The golden copies live in ``tests/golden/``; refresh them deliberately
 when a change is intended:
 
@@ -12,6 +16,8 @@ when a change is intended:
     cp benchmarks/reports/{appendix_a,figure1}.txt tests/golden/
     python -c "from tests.test_golden_reports import regenerate_compliance; \
         print(regenerate_compliance(), end='')" > tests/golden/compliance.txt
+    python -c "from tests.test_golden_reports import regenerate_fuzz; \
+        print(regenerate_fuzz(12), end='')" > tests/golden/fuzz_seed0.txt
 """
 
 import pathlib
@@ -70,6 +76,14 @@ def regenerate_compliance() -> str:
     return render_compliance(compare_implementations(ALL_IMPLEMENTATIONS))
 
 
+def regenerate_fuzz(iterations: int, evaluator: str | None = None) -> str:
+    from repro.fuzz import run_fuzz
+    from repro.reporting.tables import render_fuzz_summary
+    report = run_fuzz(seed=0, iterations=iterations, evaluator=evaluator)
+    report.elapsed = 0.0  # wall clock: the one nondeterministic field
+    return render_fuzz_summary(report)
+
+
 def test_appendix_a_is_stable():
     assert regenerate_appendix() == (GOLDEN / "appendix_a.txt").read_text()
 
@@ -83,3 +97,11 @@ def test_compliance_report_is_stable():
     byte-identically run over run; a diff here means an implementation's
     observable behaviour moved."""
     assert regenerate_compliance() == (GOLDEN / "compliance.txt").read_text()
+
+
+@pytest.mark.parametrize("evaluator", ["core", "compiled"])
+def test_fuzz_report_is_stable(evaluator):
+    """A 12-program seed-0 fuzz report renders identically under both
+    evaluators and matches the frozen golden."""
+    assert regenerate_fuzz(12, evaluator) == \
+        (GOLDEN / "fuzz_seed0.txt").read_text()

@@ -1,13 +1,17 @@
 """Dynamic verification of the S7 properties: provenance validity and
 capability integrity hold in every reachable state of every suite
-program (checked after each mutating memory-model operation)."""
+program (checked after each mutating memory-model operation), under
+both the Core evaluator and the compiled backend."""
 
 import pytest
 
 from repro.capability import MORELLO
+from repro.core.compile import CompiledEvaluator, compile_core
+from repro.core.coreeval import CoreEvaluator
 from repro.core.cparser import parse_program
-from repro.core.interp import Interpreter
+from repro.core.elaborate import elaborate_program
 from repro.errors import MemoryModelError, OutcomeKind
+from repro.impls import CERBERUS
 from repro.impls.registry import CERBERUS_MAP
 from repro.memory.invariants import CheckedMemoryModel, check_invariants
 from repro.memory.model import MemoryModel, Mode
@@ -17,9 +21,15 @@ CASES = all_cases()
 
 
 def run_checked(source: str):
-    model = CheckedMemoryModel(MORELLO, Mode.ABSTRACT, CERBERUS_MAP)
-    program = parse_program(source, model.layout)
-    return Interpreter(program, model).run()
+    """The program's outcome under each evaluator, every run on a
+    fresh invariant-checking model."""
+    core = elaborate_program(parse_program(source, CERBERUS.layout))
+    compiled = compile_core(core, CERBERUS)
+
+    def model():
+        return CheckedMemoryModel(MORELLO, Mode.ABSTRACT, CERBERUS_MAP)
+    return {"core": CoreEvaluator(core, model()).run(),
+            "compiled": CompiledEvaluator(compiled, model()).run()}
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
@@ -27,12 +37,12 @@ def test_invariants_hold_throughout_suite(case):
     """Every suite program runs to its outcome with the invariants
     checked after each mutating operation; an invariant violation would
     surface as an OutcomeKind.ERROR / MemoryModelError."""
-    outcome = run_checked(case.source)
     expected = case.expected_for("cerberus", is_hardware=False, opt_level=0)
-    assert expected.check(outcome), (
-        f"{case.name} under invariant checking: expected "
-        f"{expected.describe()}, got {outcome.describe()} "
-        f"[{outcome.detail}]")
+    for evaluator, outcome in run_checked(case.source).items():
+        assert expected.check(outcome), (
+            f"{case.name} under invariant checking ({evaluator}): "
+            f"expected {expected.describe()}, got {outcome.describe()} "
+            f"[{outcome.detail}]")
 
 
 class TestCheckerCatchesViolations:

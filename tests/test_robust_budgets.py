@@ -15,7 +15,9 @@ import time
 import pytest
 
 from repro.capability import MORELLO
-from repro.core.interp import CALL_DEPTH_LIMIT, run_program
+from repro.core.coreeval import CALL_DEPTH_LIMIT, CoreEvaluator
+from repro.core.cparser import parse_program
+from repro.core.elaborate import elaborate_program
 from repro.errors import Outcome, OutcomeKind, ResourceExhausted
 from repro.fuzz.driver import program_for
 from repro.impls import CERBERUS
@@ -144,6 +146,11 @@ class TestGeneratedPrograms:
             assert first == second
 
 
+def run_core(source: str, model: MemoryModel) -> Outcome:
+    core = elaborate_program(parse_program(source, model.layout))
+    return CoreEvaluator(core, model).run()
+
+
 class TestInvariantsAtCutoff:
     def _governed_model(self, budget):
         return MemoryModel(MORELLO, Mode.ABSTRACT, CERBERUS_MAP,
@@ -151,13 +158,13 @@ class TestInvariantsAtCutoff:
 
     def test_invariants_hold_after_allocation_cutoff(self):
         model = self._governed_model(Budget(max_allocations=8))
-        out = run_program(CHURN, model)
+        out = run_core(CHURN, model)
         assert out.kind is OutcomeKind.RESOURCE
         check_invariants(model)  # must not raise
 
     def test_invariants_hold_after_step_cutoff(self):
         model = self._governed_model(Budget(max_steps=300))
-        out = run_program(SPIN, model)
+        out = run_core(SPIN, model)
         assert out.kind is OutcomeKind.RESOURCE
         check_invariants(model)
 
@@ -166,7 +173,7 @@ class TestInvariantsAtCutoff:
         model = self._governed_model(
             Budget(max_steps=400, max_allocations=32))
         source = program_for(seed=1, index=index).render()
-        out = run_program(source, model)
+        out = run_core(source, model)
         assert isinstance(out, Outcome)
         check_invariants(model)
 
