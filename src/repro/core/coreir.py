@@ -1262,8 +1262,7 @@ class CoreProgram:
     """An elaborated translation unit.
 
     Keeps the originating (optimised) AST ``Program`` as ``ast``: the
-    evaluator still registers functions/globals from it, and
-    :meth:`Implementation.run_compiled` accepts either representation.
+    evaluator still registers functions/globals from it.
     """
 
     __slots__ = ("ast", "functions", "globals_init")

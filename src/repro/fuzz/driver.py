@@ -249,7 +249,7 @@ def run_fuzz(seed: int = 0,
     makes shrinking of findings additionally preserve the reference
     trace's explaining signature (see :func:`_preserves_group`).
 
-    ``evaluator`` (``ast``/``core``/``None`` = process default) selects
+    ``evaluator`` (``core``/``compiled``/``None`` = process default) selects
     the execution strategy for the whole campaign: it travels inside
     each task for the workers and is installed as the parent's default
     for the shrinking/trace phases, so classification, minimisation,

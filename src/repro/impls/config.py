@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.capability.abstract import Architecture
-from repro.core.cast import Program
 from repro.core.coreeval import (
     CoreEvaluator, EVALUATORS, default_evaluator,
 )
@@ -15,9 +14,7 @@ from repro.errors import CSyntaxError, CTypeError, Outcome
 from repro.memory.allocator import AddressMap
 from repro.memory.model import MemoryModel, Mode
 from repro.memory.options import PAPER_CHOICES, SemanticsOptions
-from repro.perf.cache import (
-    compile_core, compile_program, compile_threaded,
-)
+from repro.perf.cache import compile_core, compile_threaded
 
 
 #: Axes that determine the *compiled program*: the frontend, the
@@ -78,40 +75,25 @@ class Implementation:
     def layout(self) -> TargetLayout:
         return TargetLayout(self.arch)
 
-    def compile(self, source: str, *,
-                use_cache: bool | None = None) -> Program:
-        """The cacheable stage: parse + modelled optimisation.
-
-        The result depends only on ``(source, arch, opt_level,
-        subobject_bounds, options)``, so it is served from the
-        process-wide compilation cache (:mod:`repro.perf.cache`) unless
-        ``use_cache`` disables it.  Elaborated Core programs
-        additionally persist in the content-addressed on-disk layer
-        (:mod:`repro.perf.disk`), so a fresh process -- or a pool
-        worker -- warm-starts from any previous run's compiles.
-        Raises :class:`CSyntaxError` / :class:`CTypeError` when the
-        frontend rejects the program.
-        """
-        return compile_program(self, source, use_cache=use_cache)
-
-    def run_compiled(self, program: Program | CoreProgram,
-                     main: str = "main", *, bus=None, budget=None,
-                     faults=None, evaluator: str | None = None) -> Outcome:
+    def run_compiled(self, program: CoreProgram, main: str = "main", *,
+                     bus=None, budget=None, faults=None,
+                     evaluator: str | None = None) -> Outcome:
         """The run stage: interpret a compiled program on a fresh model.
 
-        Compiled programs are immutable (frozen-dataclass AST; Core op
-        lists are only ever read), so one cached compile can back any
-        number of concurrent runs.  ``program`` may be the typed AST
-        (from :meth:`compile`), an elaborated
-        :class:`~repro.core.coreir.CoreProgram`, or a direct-threaded
-        :class:`~repro.core.compile.CompiledProgram`; ``evaluator``
+        Compiled programs are immutable (Core op lists are only ever
+        read), so one cached compile can back any number of concurrent
+        runs.  ``program`` is an elaborated
+        :class:`~repro.core.coreir.CoreProgram` (from
+        :func:`~repro.perf.cache.compile_core`) or a direct-threaded
+        :class:`~repro.core.compile.CompiledProgram` (from
+        :func:`~repro.perf.cache.compile_threaded`); ``evaluator``
         picks the strategy (``None`` = the process default,
-        ``compiled``) -- a representation short of the chosen
-        evaluator's is elaborated/threaded on the fly.  When a
-        :class:`~repro.robust.Budget` (or a test-only
-        :class:`~repro.robust.FaultPlan`) is given, the run is governed:
-        it always terminates with a structured outcome, never a hang or
-        a raw ``RecursionError``/``MemoryError``.
+        ``compiled``) -- a Core program run by the compiled evaluator
+        is threaded on the fly.  When a :class:`~repro.robust.Budget`
+        (or a test-only :class:`~repro.robust.FaultPlan`) is given, the
+        run is governed: it always terminates with a structured
+        outcome, never a hang or a raw
+        ``RecursionError``/``MemoryError``.
         """
         from repro.core.compile import CompiledEvaluator, CompiledProgram
         meter = None
@@ -127,16 +109,10 @@ class Implementation:
         if evaluator == "compiled":
             if not isinstance(program, CompiledProgram):
                 from repro.core.compile import compile_core as thread_core
-                if not isinstance(program, CoreProgram):
-                    from repro.core.elaborate import elaborate_program
-                    program = elaborate_program(program)
                 program = thread_core(program, self)
             return CompiledEvaluator(program, model).run(main)
         if isinstance(program, CompiledProgram):
             program = program.core
-        elif not isinstance(program, CoreProgram):
-            from repro.core.elaborate import elaborate_program
-            program = elaborate_program(program)
         return CoreEvaluator(program, model).run(main)
 
     def run(self, source: str, main: str = "main", *, bus=None,

@@ -4,10 +4,11 @@ The S5 experiment and the fuzz loop both run the *same* program text on
 many implementation configurations.  Two facts make that cheap to
 exploit:
 
-* compilation (parse + modelled optimisation) is a pure function of
-  ``(source, arch, opt_level, subobject_bounds, options)`` -- the
-  address map and execution mode only matter at *run* time -- so one
-  compile can serve every implementation sharing those axes
+* compilation (parse, modelled optimisation, elaboration to Core and
+  direct threading) is a pure function of ``(source, arch, opt_level,
+  subobject_bounds, options)`` -- the address map, execution mode and
+  allocator policy only matter at *run* time -- so one cache entry per
+  such key serves every implementation sharing those axes
   (:mod:`repro.perf.cache`);
 * every run is deterministic and isolated (a fresh
   :class:`~repro.memory.model.MemoryModel` per run), so runs can be
@@ -16,9 +17,10 @@ exploit:
 
 The pool's workers are *persistent and warm* -- one process-wide
 executor reused across calls, each worker keeping its own populated
-cache -- and the cache's Core layer is backed by a content-addressed
-on-disk store (:mod:`repro.perf.disk`) shared across processes and
-CLI invocations, so a warm-started run performs zero compiles.
+cache -- and the entries' Core programs are backed by a
+content-addressed on-disk store (:mod:`repro.perf.disk`) shared across
+processes and CLI invocations, so a warm-started run performs zero
+compiles.
 
 ``repro run|suite|compare|fuzz`` expose all of this through ``--jobs
 N``, ``--no-compile-cache``, ``--cache-dir DIR``, and
@@ -33,7 +35,6 @@ from repro.perf.cache import (
     cache_enabled,
     clear_cache,
     compile_core,
-    compile_program,
     compile_threaded,
     configure_disk_cache,
     disk_cache_config,
@@ -57,7 +58,6 @@ __all__ = [
     "cache_enabled",
     "clear_cache",
     "compile_core",
-    "compile_program",
     "compile_threaded",
     "configure_disk_cache",
     "default_cache_dir",

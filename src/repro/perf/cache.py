@@ -1,56 +1,60 @@
-"""The compilation cache behind :meth:`Implementation.compile`.
+"""The compilation cache behind :meth:`Implementation.run`.
 
-Compilation -- lexing, parsing, and the modelled optimisation passes --
-is a pure function of ``(source, arch, opt_level, subobject_bounds,
-options)``.  Everything else an :class:`~repro.impls.config.Implementation`
-carries (address map, abstract-vs-hardware mode, revocation) only
+Compilation -- lexing, parsing, the modelled optimisation passes,
+elaboration to Core and direct threading -- is a pure function of
+``(source, arch, opt_level, subobject_bounds, options)``.  Everything
+else an :class:`~repro.impls.config.Implementation` carries (address
+map, abstract-vs-hardware mode, revocation, allocator policy) only
 affects *running* the compiled program, so e.g. all four ``-O0``
-hardware implementations plus the reference can share a single parse of
+hardware implementations plus the reference can share one compile of
 each test program.  The S5 comparison compiles each of the 94 programs
 twice (once per distinct opt level) instead of seven times, and the
 differential oracle compiles each generated program a handful of times
 instead of once per target.
 
-Five layers of reuse, each with its own :class:`CacheStats` in
-``CompileCache.stats`` (a :class:`CacheStatsSet`):
+Two in-memory maps and one disk store:
 
 * a *parse* memo keyed by ``(source, arch)`` -- the AST before
   optimisation, shared across opt levels (AST nodes are frozen
   dataclasses, so sharing is safe);
-* the *compiled* cache keyed by the full five-axis tuple, holding the
-  optimised program -- or the frontend error, so a program the frontend
-  rejects is rejected once, not once per implementation;
-* the *core* cache, keyed by the same five-axis tuple, holding the
-  elaborated :class:`~repro.core.coreir.CoreProgram` (built from the
-  optimised AST) -- or the elaboration error, cached with the same
-  once-not-once-per-implementation policy as frontend rejections;
-* the *threaded* cache, keyed by the same five-axis tuple, holding the
-  direct-threaded :class:`~repro.core.compile.CompiledProgram` built
-  from the cached Core program.  Compiled programs are closures and so
-  **process-local**: they never pickle across the worker pool -- a
-  worker that needs one compiles it in-process from the task's source
-  (tasks carry sources, not programs), and a ``CompiledProgram`` that
-  is pickled anyway reduces to its Core program and recompiles on
-  unpickle;
+* one *entry* per five-axis key (:meth:`CompileCache.key_for`), whose
+  slots fill lazily: the elaborated
+  :class:`~repro.core.coreir.CoreProgram`, the direct-threaded
+  :class:`~repro.core.compile.CompiledProgram` built from it, or the
+  frontend or elaboration rejection -- stored once, so a program the
+  frontend rejects is rejected once, not once per implementation.
+  Threaded programs are closures and so **process-local**: they never
+  pickle across the worker pool -- a worker that needs one compiles it
+  in-process from the task's source (tasks carry sources, not
+  programs), and a ``CompiledProgram`` that is pickled anyway reduces
+  to its Core program and recompiles on unpickle;
 * the *disk* layer (:mod:`repro.perf.disk`): a content-addressed
-  on-disk store of pickled Core programs backing the core layer, keyed
-  by the SHA-256 of the same five axes, shared across worker processes
-  **and across CLI invocations**.  A core-layer miss consults it before
+  on-disk store of pickled Core programs, keyed by the SHA-256 of the
+  same five axes, shared across worker processes **and across CLI
+  invocations**.  An entry without a Core program consults it before
   compiling, and a fresh compile publishes to it, so a warm-started
   process (or a cold pool worker) performs zero frontend compiles for
   sources any previous run compiled.  Rejections are never written to
   disk -- they are cheap to rediscover and memory-cached per process.
 
-The in-memory layers are bounded LRU maps (entries evicted
-oldest-first), sized for a long fuzz campaign without unbounded growth,
-and are per-process: worker processes forked by :mod:`repro.perf.pool`
-inherit the parent's entries at fork time and then populate their own
-copies.  The disk layer is what makes that cheap to live with --
-spawned or recycled workers warm-start from it instead of recompiling.
+``CompileCache.stats`` (a :class:`CacheStatsSet`) counts five layers:
+``parse`` (the memo), ``core`` and ``threaded`` (an entry's slot was
+already filled, or held a rejection), ``disk``, and ``compiled``, which
+counts every optimiser run as a miss and never hits -- the optimised
+AST is not kept, since only elaboration reads it.  It stays a layer so
+reports and benchmark traces keep their five columns.
 
-``set_cache_enabled(False)`` (the CLI's ``--no-compile-cache``)
-bypasses every layer; ``configure_disk_cache`` (the CLI's
-``--cache-dir``/``--no-disk-cache``) controls only the disk layer.
+Both maps are bounded LRU maps (entries evicted oldest-first), sized
+for a long fuzz campaign without unbounded growth, and are per-process:
+worker processes forked by :mod:`repro.perf.pool` inherit the parent's
+entries at fork time and then populate their own copies.  The disk
+layer is what makes that cheap to live with -- spawned or recycled
+workers warm-start from it instead of recompiling.
+
+``set_cache_enabled(False)`` (the CLI's ``--no-compile-cache``) gives
+every compile a private, diskless cache instead of the global one;
+``configure_disk_cache`` (the CLI's ``--cache-dir``/``--no-disk-cache``)
+controls only the disk layer.
 """
 
 from __future__ import annotations
@@ -152,6 +156,16 @@ class CacheStatsSet:
         return "\n".join(lines) + "\n"
 
 
+@dataclass
+class _Entry:
+    """The artefacts of one compile key, filled lazily: the Core
+    program, its threaded form, or the rejection that stops both."""
+
+    error: Exception | None = None
+    core: object = None
+    threaded: object = None
+
+
 class CompileCache:
     """LRU cache of compiled programs (and frontend rejections).
 
@@ -171,17 +185,8 @@ class CompileCache:
         self.maxsize = maxsize
         self.stats = CacheStatsSet()
         self._disk = disk
-        # key -> ("ok", Program) | ("error", CSyntaxError | CTypeError)
-        self._compiled: OrderedDict[tuple, tuple[str, object]] = OrderedDict()
         self._parsed: OrderedDict[tuple, object] = OrderedDict()
-        # key -> ("ok", CoreProgram) | ("error", ...): elaborated Core,
-        # same five-axis identity as the compiled layer.
-        self._core: OrderedDict[tuple, tuple[str, object]] = OrderedDict()
-        # key -> ("ok", CompiledProgram) | ("error", ...): the
-        # direct-threaded closure tables (process-local; see module
-        # docstring).
-        self._threaded: OrderedDict[tuple, tuple[str, object]] = \
-            OrderedDict()
+        self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
 
     @staticmethod
     def key_for(impl, source: str) -> tuple:
@@ -200,48 +205,83 @@ class CompileCache:
         return self._disk
 
     def entry_counts(self) -> dict[str, int]:
-        """In-memory entries per layer."""
+        """In-memory parse-memo entries, compile entries, and the
+        compile entries holding a Core or a threaded program."""
+        entries = self._entries.values()
         return {"parse": len(self._parsed),
-                "compiled": len(self._compiled),
-                "core": len(self._core),
-                "threaded": len(self._threaded)}
-
-    def __len__(self) -> int:
-        """Total in-memory entries across every layer."""
-        return sum(self.entry_counts().values())
+                "entries": len(self._entries),
+                "core": sum(entry.core is not None for entry in entries),
+                "threaded": sum(entry.threaded is not None
+                                for entry in entries)}
 
     def clear(self) -> None:
-        """Drop the in-memory layers and reset stats.  The disk layer
-        is shared across processes and deliberately survives -- remove
-        its directory to clear it."""
-        self._compiled.clear()
+        """Drop the in-memory maps and reset stats.  The disk layer is
+        shared across processes and deliberately survives -- remove its
+        directory to clear it."""
         self._parsed.clear()
-        self._core.clear()
-        self._threaded.clear()
+        self._entries.clear()
         self.stats = CacheStatsSet()
 
-    def compile(self, impl, source: str):
-        """Parse + optimise ``source`` for ``impl``, reusing any cached
-        artefact.  Raises :class:`CSyntaxError`/:class:`CTypeError`
-        exactly like the uncached frontend."""
+    def core(self, impl, source: str):
+        """Compile + elaborate ``source`` for ``impl``, reusing any
+        cached :class:`~repro.core.coreir.CoreProgram` -- from memory
+        first, then from the shared disk layer.  Raises
+        :class:`CSyntaxError`/:class:`CTypeError` (elaboration errors
+        included) exactly like the uncached frontend, once per key."""
         key = self.key_for(impl, source)
-        entry = self._compiled.get(key)
+        return self._core(impl, source, key, self._entry(key))
+
+    def threaded(self, impl, source: str):
+        """Compile + elaborate + thread ``source`` for ``impl``,
+        reusing any cached :class:`~repro.core.compile.CompiledProgram`
+        and otherwise threading the entry's Core program."""
+        key = self.key_for(impl, source)
+        entry = self._entry(key)
+        if entry.threaded is None and entry.error is None:
+            self.stats.threaded.misses += 1
+            core = self._core(impl, source, key, entry)
+            entry.threaded = compile_threaded_ir(core, impl)
+            return entry.threaded
+        self.stats.threaded.hits += 1
+        if entry.error is not None:
+            raise entry.error
+        return entry.threaded
+
+    def _entry(self, key: tuple) -> _Entry:
+        entry = self._entries.get(key)
         if entry is not None:
-            self._compiled.move_to_end(key)
-            self.stats.compiled.hits += 1
-            tag, payload = entry
-            if tag == "error":
-                raise payload
-            return payload
+            self._entries.move_to_end(key)
+            return entry
+        entry = self._entries[key] = _Entry()
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+        return entry
+
+    def _core(self, impl, source: str, key: tuple, entry: _Entry):
+        if entry.core is not None or entry.error is not None:
+            self.stats.core.hits += 1
+            if entry.error is not None:
+                raise entry.error
+            return entry.core
+        self.stats.core.misses += 1
+        disk = self.active_disk()
+        if disk is not None:
+            entry.core = disk.load(key)
+            if entry.core is not None:
+                self.stats.disk.hits += 1
+                return entry.core
+            self.stats.disk.misses += 1
         self.stats.compiled.misses += 1
         try:
-            program = self._parse(impl, source)
-            program = optimize_program(program, impl.layout, impl.opt_level)
+            program = optimize_program(self._parse(impl, source),
+                                       impl.layout, impl.opt_level)
+            entry.core = elaborate_program(program)
         except (CSyntaxError, CTypeError) as exc:
-            self._store(key, ("error", exc))
+            entry.error = exc
             raise
-        self._store(key, ("ok", program))
-        return program
+        if disk is not None:
+            disk.store(key, entry.core)
+        return entry.core
 
     def _parse(self, impl, source: str):
         pkey = (source, impl.arch.name)
@@ -257,80 +297,6 @@ class CompileCache:
             self._parsed.popitem(last=False)
         return program
 
-    def core(self, impl, source: str):
-        """Compile + elaborate ``source`` for ``impl``, reusing any
-        cached :class:`~repro.core.coreir.CoreProgram` -- from memory
-        first, then from the shared disk layer.  Frontend *and*
-        elaboration rejections are cached (in memory only) under the
-        same five-axis key, so an elaboration-rejected program is
-        rejected once, not once per implementation sharing the key."""
-        key = self.key_for(impl, source)
-        entry = self._core.get(key)
-        if entry is not None:
-            self._core.move_to_end(key)
-            self.stats.core.hits += 1
-            tag, payload = entry
-            if tag == "error":
-                raise payload
-            return payload
-        self.stats.core.misses += 1
-        disk = self.active_disk()
-        if disk is not None:
-            core = disk.load(key)
-            if core is not None:
-                self.stats.disk.hits += 1
-                self._store_core(key, ("ok", core))
-                return core
-            self.stats.disk.misses += 1
-        try:
-            program = self.compile(impl, source)
-            core = elaborate_program(program)
-        except (CSyntaxError, CTypeError) as exc:
-            self._store_core(key, ("error", exc))
-            raise
-        self._store_core(key, ("ok", core))
-        if disk is not None:
-            disk.store(key, core)
-        return core
-
-    def threaded(self, impl, source: str):
-        """Compile + elaborate + thread ``source`` for ``impl``,
-        reusing any cached :class:`~repro.core.compile.CompiledProgram`.
-        Frontend and elaboration rejections are cached under the same
-        five-axis key (the same policy as the other layers)."""
-        key = self.key_for(impl, source)
-        entry = self._threaded.get(key)
-        if entry is not None:
-            self._threaded.move_to_end(key)
-            self.stats.threaded.hits += 1
-            tag, payload = entry
-            if tag == "error":
-                raise payload
-            return payload
-        self.stats.threaded.misses += 1
-        try:
-            core = self.core(impl, source)
-        except (CSyntaxError, CTypeError) as exc:
-            self._threaded[key] = ("error", exc)
-            while len(self._threaded) > self.maxsize:
-                self._threaded.popitem(last=False)
-            raise
-        compiled = compile_threaded_ir(core, impl)
-        self._threaded[key] = ("ok", compiled)
-        while len(self._threaded) > self.maxsize:
-            self._threaded.popitem(last=False)
-        return compiled
-
-    def _store(self, key: tuple, entry: tuple[str, object]) -> None:
-        self._compiled[key] = entry
-        while len(self._compiled) > self.maxsize:
-            self._compiled.popitem(last=False)
-
-    def _store_core(self, key: tuple, entry: tuple[str, object]) -> None:
-        self._core[key] = entry
-        while len(self._core) > self.maxsize:
-            self._core.popitem(last=False)
-
 
 _GLOBAL_CACHE = CompileCache()
 _ENABLED = True
@@ -343,7 +309,7 @@ _DISK_INSTANCE: DiskCache | None = None
 
 
 def global_cache() -> CompileCache:
-    """The process-wide cache used by :meth:`Implementation.compile`."""
+    """The process-wide cache used by :meth:`Implementation.run`."""
     return _GLOBAL_CACHE
 
 
@@ -402,40 +368,25 @@ def clear_cache() -> None:
     _GLOBAL_CACHE.clear()
 
 
-def compile_program(impl, source: str, use_cache: bool | None = None):
-    """Compile ``source`` for ``impl``; ``use_cache=None`` defers to the
-    process-wide switch.  Uncached compiles bypass the cache entirely
-    (no lookups, no stats)."""
+def _cache_for(use_cache: bool | None) -> CompileCache:
+    """The global cache, or -- when ``use_cache`` (``None`` = the
+    process-wide switch) is off -- a private diskless one, so an
+    uncached compile makes no global lookups and returns a program of
+    its own."""
     if use_cache is None:
         use_cache = _ENABLED
-    if not use_cache:
-        program = parse_program(source, impl.layout)
-        return optimize_program(program, impl.layout, impl.opt_level)
-    return _GLOBAL_CACHE.compile(impl, source)
+    return _GLOBAL_CACHE if use_cache else CompileCache(disk=None)
 
 
 def compile_core(impl, source: str, use_cache: bool | None = None):
     """Compile + elaborate ``source`` for ``impl`` into a
     :class:`~repro.core.coreir.CoreProgram`; ``use_cache=None`` defers
     to the process-wide switch."""
-    if use_cache is None:
-        use_cache = _ENABLED
-    if not use_cache:
-        program = parse_program(source, impl.layout)
-        program = optimize_program(program, impl.layout, impl.opt_level)
-        return elaborate_program(program)
-    return _GLOBAL_CACHE.core(impl, source)
+    return _cache_for(use_cache).core(impl, source)
 
 
 def compile_threaded(impl, source: str, use_cache: bool | None = None):
     """Compile + elaborate + direct-thread ``source`` for ``impl`` into
     a :class:`~repro.core.compile.CompiledProgram`; ``use_cache=None``
-    defers to the process-wide switch.  An uncached compile bypasses
-    every layer (no lookups, no stats, no snapshot sharing)."""
-    if use_cache is None:
-        use_cache = _ENABLED
-    if not use_cache:
-        program = parse_program(source, impl.layout)
-        program = optimize_program(program, impl.layout, impl.opt_level)
-        return compile_threaded_ir(elaborate_program(program), impl)
-    return _GLOBAL_CACHE.threaded(impl, source)
+    defers to the process-wide switch."""
+    return _cache_for(use_cache).threaded(impl, source)

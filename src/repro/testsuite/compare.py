@@ -155,7 +155,7 @@ def run_suite(impl: Implementation,
     ``fault_plan``/``task_timeout``/``bus`` drive the hardened pool
     (``fault_plan`` is test-only and ignored on the serial path).
     ``evaluator`` selects the execution strategy for every case run
-    (``ast``/``core``/``None`` = process default); it travels inside
+    (``core``/``compiled``/``None`` = process default); it travels inside
     each task so worker processes apply it regardless of their own
     default.
     """

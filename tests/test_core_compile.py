@@ -29,16 +29,15 @@ from __future__ import annotations
 import pathlib
 import pickle
 
-from repro.core import elaborate_program
 from repro.core.compile import (
-    CompiledEvaluator, CompiledProgram, compile_core, render_compiled,
+    CompiledEvaluator, CompiledProgram, render_compiled,
 )
 from repro.core.coreeval import CoreEvaluator
 from repro.core.coreir import Jump, JumpIfFalse, JumpIfTrue
 from repro.errors import OutcomeKind
 from repro.impls import CERBERUS, by_name
 from repro.obs import EventBus, TraceRecorder
-from repro.perf import compile_program, compile_threaded
+from repro.perf import compile_threaded
 from repro.robust import Budget
 from repro.testsuite.suite import all_cases
 
@@ -66,9 +65,7 @@ int main(void) {
 
 def fresh_compiled(source: str, impl=CERBERUS) -> CompiledProgram:
     """A private CompiledProgram (cold snapshots/memo) with folds on."""
-    return compile_core(
-        elaborate_program(compile_program(impl, source, use_cache=False)),
-        impl)
+    return compile_threaded(impl, source, use_cache=False)
 
 
 def evaluator_pair(source: str, impl=CERBERUS):
@@ -264,8 +261,7 @@ int main(void) { int x = INT_MAX + 1; return x != 0; }
         source = "int main(void) { int a[2]; int *p = a + 2;" \
                  " return *p; }"
         for impl in (CERBERUS, by_name("clang-morello-O0")):
-            compiled = compile_core(elaborate_program(
-                compile_program(impl, source, use_cache=False)), impl)
+            compiled = compile_threaded(impl, source, use_cache=False)
             assert self.binop_stays_unfolded(compiled, "+")
             core = impl.run(source, evaluator="core", use_cache=False)
             threaded = impl.run(source, evaluator="compiled",

@@ -28,12 +28,12 @@ import sys
 import pytest
 
 from repro.core import (
-    CoreEvaluator, default_evaluator, elaborate_program, render_core,
+    CoreEvaluator, default_evaluator, render_core,
 )
 from repro.core.coreeval import CALL_DEPTH_LIMIT
 from repro.errors import OutcomeKind
 from repro.impls import CERBERUS, by_name
-from repro.perf import compile_core, compile_program
+from repro.perf import compile_core
 from repro.robust import Budget
 from repro.testsuite.case import Expected, TestCase
 from repro.testsuite.categories import Category
@@ -237,10 +237,9 @@ class TestElaborationDeterminism:
 
     def test_double_elaboration_renders_identically(self):
         source = self._bitops()
-        first = render_core(elaborate_program(
-            compile_program(CERBERUS, source, use_cache=False)))
-        second = render_core(elaborate_program(
-            compile_program(CERBERUS, source, use_cache=False)))
+        first = render_core(compile_core(CERBERUS, source, use_cache=False))
+        second = render_core(compile_core(CERBERUS, source,
+                                          use_cache=False))
         assert first == second
 
     def test_golden_intptr_bitops_listing(self):

@@ -22,7 +22,7 @@ from repro.impls.registry import (
     CERBERUS_PERMISSIVE,
 )
 from repro.obs.metrics import Metrics
-from repro.perf.cache import CompileCache, compile_program
+from repro.perf.cache import CompileCache, compile_core
 from repro.perf.pool import parallel_map, resolve_jobs
 from repro.reporting.tables import render_compliance
 from repro.testsuite.compare import compare_implementations, run_suite
@@ -35,24 +35,31 @@ BAD_SOURCE = "int main(void { return 0; }\n"
 class TestCompileCache:
     def test_hit_after_miss(self):
         cache = CompileCache(disk=None)
-        first = cache.compile(CERBERUS, SOURCE)
-        second = cache.compile(CERBERUS, SOURCE)
+        first = cache.core(CERBERUS, SOURCE)
+        second = cache.core(CERBERUS, SOURCE)
         assert first is second
-        assert cache.stats.compiled.hits == 1
-        assert cache.stats.compiled.misses == 1
-        assert cache.stats.compiled.hit_rate == 0.5
+        assert cache.stats.core.hits == 1
+        assert cache.stats.core.misses == 1
+        assert cache.stats.core.hit_rate == 0.5
+        # The optimised AST is not kept: the one optimiser run is the
+        # compiled layer's one miss, and it never hits.
+        assert (cache.stats.compiled.hits,
+                cache.stats.compiled.misses) == (0, 1)
         # One parse actually ran -- the "compiles performed" number the
         # warm-start gate asserts on.
         assert cache.stats.compiles_performed == 1
 
     def test_shared_across_run_only_axes(self):
-        # cerberus and clang-morello-O0 differ only in address map and
-        # mode -- run-time axes -- so they share one compiled program.
+        # The -O0 implementations differ from the reference only in
+        # run-time axes (address map, mode), so they all share one
+        # compiled program.
         cache = CompileCache(disk=None)
-        ref = cache.compile(CERBERUS, SOURCE)
-        hw = cache.compile(CLANG_MORELLO_O0, SOURCE)
-        assert ref is hw
-        assert cache.stats.compiled.hits == 1
+        o0 = [impl for impl in ALL_IMPLEMENTATIONS if impl.opt_level == 0]
+        assert CERBERUS in o0 and CLANG_MORELLO_O0 in o0
+        programs = {id(cache.core(impl, SOURCE)) for impl in o0}
+        assert len(programs) == 1
+        assert cache.stats.core.hits == len(o0) - 1
+        assert cache.entry_counts()["entries"] == 1
 
     @pytest.mark.parametrize("other", [
         CLANG_MORELLO_O3,            # opt_level axis
@@ -64,36 +71,38 @@ class TestCompileCache:
         # Distinct (arch, opt_level, subobject_bounds, options) keys
         # never serve each other's entries: two misses, two entries.
         cache = CompileCache(disk=None)
-        cache.compile(CERBERUS, SOURCE)
-        cache.compile(other, SOURCE)
-        assert cache.stats.compiled.hits == 0
-        assert cache.stats.compiled.misses == 2
-        assert cache.entry_counts()["compiled"] == 2
+        cache.core(CERBERUS, SOURCE)
+        cache.core(other, SOURCE)
+        assert cache.stats.core.hits == 0
+        assert cache.stats.core.misses == 2
+        assert cache.entry_counts()["entries"] == 2
 
     def test_subobject_key_isolated_from_plain_o3(self):
         cache = CompileCache(disk=None)
-        plain = cache.compile(CLANG_MORELLO_O3, SOURCE)
-        subobject = cache.compile(CLANG_MORELLO_O3_SUBOBJECT, SOURCE)
+        plain = cache.core(CLANG_MORELLO_O3, SOURCE)
+        subobject = cache.core(CLANG_MORELLO_O3_SUBOBJECT, SOURCE)
         assert subobject is not plain
-        assert cache.stats.compiled.hits == 0
+        assert cache.stats.core.hits == 0
 
     def test_parse_shared_across_opt_levels(self):
         # O0 and O3 compile to different programs but share the parse.
         cache = CompileCache(disk=None)
-        cache.compile(CERBERUS, SOURCE)
-        assert len(cache._parsed) == 1
-        cache.compile(CLANG_MORELLO_O3, SOURCE)
-        assert len(cache._parsed) == 1
+        cache.core(CERBERUS, SOURCE)
+        assert cache.entry_counts()["parse"] == 1
+        cache.core(CLANG_MORELLO_O3, SOURCE)
+        assert cache.entry_counts()["parse"] == 1
         assert cache.stats.parse.hits == 1
         assert cache.stats.parse.misses == 1
 
     def test_frontend_error_cached(self):
         cache = CompileCache(disk=None)
         with pytest.raises(CSyntaxError):
-            cache.compile(CERBERUS, BAD_SOURCE)
+            cache.core(CERBERUS, BAD_SOURCE)
         with pytest.raises(CSyntaxError):
-            cache.compile(CERBERUS, BAD_SOURCE)
-        assert cache.stats.compiled.hits == 1
+            cache.core(CERBERUS, BAD_SOURCE)
+        assert cache.stats.core.hits == 1
+        assert cache.stats.parse.misses == 1
+        assert cache.entry_counts()["entries"] == 1
 
     def test_core_layer_shares_elaborated_program(self):
         cache = CompileCache(disk=None)
@@ -122,6 +131,8 @@ class TestCompileCache:
             cache.core(CERBERUS, SOURCE)
         with pytest.raises(ElaborationError):
             cache.core(CLANG_MORELLO_O0, SOURCE)
+        with pytest.raises(ElaborationError):
+            cache.threaded(CLANG_MORELLO_O0, SOURCE)
         assert len(calls) == 1
 
     def test_elaboration_error_is_a_frontend_outcome(self, monkeypatch):
@@ -147,16 +158,18 @@ class TestCompileCache:
     def test_eviction_is_bounded(self):
         cache = CompileCache(maxsize=2, disk=None)
         for status in range(4):
-            cache.compile(CERBERUS,
-                          f"int main(void) {{ return {status}; }}\n")
-        assert cache.entry_counts()["compiled"] <= 2
-        assert len(cache._parsed) <= 2
+            cache.core(CERBERUS,
+                       f"int main(void) {{ return {status}; }}\n")
+        assert cache.entry_counts()["entries"] <= 2
+        assert cache.entry_counts()["parse"] <= 2
 
     def test_uncached_compile_bypasses_global_cache(self):
         from repro.perf import global_cache
         before = global_cache().stats.lookups
-        program = compile_program(CERBERUS, SOURCE, use_cache=False)
-        assert program.functions
+        first = compile_core(CERBERUS, SOURCE, use_cache=False)
+        second = compile_core(CERBERUS, SOURCE, use_cache=False)
+        assert first.functions
+        assert first is not second
         assert global_cache().stats.lookups == before
 
     def test_cached_outcome_matches_uncached(self):
@@ -167,14 +180,14 @@ class TestCompileCache:
 
 
 class TestThreadedCacheLayer:
-    """The fourth layer: direct-threaded CompiledPrograms."""
+    """Direct-threaded CompiledPrograms, the entry's second slot."""
 
     def test_hit_after_miss_shares_the_compiled_program(self):
         cache = CompileCache()
         first = cache.threaded(CERBERUS, SOURCE)
         second = cache.threaded(CERBERUS, SOURCE)
         assert first is second
-        assert len(cache._threaded) == 1
+        assert cache.entry_counts()["threaded"] == 1
 
     def test_shared_across_run_only_axes(self):
         cache = CompileCache()
@@ -182,10 +195,10 @@ class TestThreadedCacheLayer:
             cache.threaded(CLANG_MORELLO_O0, SOURCE)
 
     def test_isolated_from_the_core_layer(self):
-        # The threaded layer holds CompiledPrograms built *from* the
-        # core layer's entries, never aliases into it: requesting the
-        # Core program afterwards serves the Core object, and the two
-        # layers key and evict independently.
+        # The threaded slot holds a CompiledProgram built *from* the
+        # entry's Core program, never aliases it: requesting the Core
+        # program afterwards serves the Core object from the same
+        # entry, without compiling again.
         from repro.core.compile import CompiledProgram
         from repro.core.coreir import CoreProgram
         cache = CompileCache()
@@ -195,21 +208,34 @@ class TestThreadedCacheLayer:
         assert isinstance(core, CoreProgram)
         assert threaded is not core
         assert threaded.core is core  # built from the cached Core
-        assert len(cache._threaded) == len(cache._core) == 1
+        assert cache.entry_counts() == {"parse": 1, "entries": 1,
+                                        "core": 1, "threaded": 1}
+        assert cache.stats.core.hits == 1
+        assert cache.stats.compiles_performed == 1
+
+    def test_core_first_then_threaded_reuses_the_core_program(self):
+        cache = CompileCache()
+        core = cache.core(CERBERUS, SOURCE)
+        assert cache.entry_counts()["threaded"] == 0
+        threaded = cache.threaded(CLANG_MORELLO_O0, SOURCE)
+        assert threaded.core is core
+        assert cache.stats.core.hits == 1
+        assert cache.stats.threaded.misses == 1
+        assert cache.stats.compiled.misses == 1
 
     def test_isolated_across_compile_axes(self):
         cache = CompileCache()
         plain = cache.threaded(CLANG_MORELLO_O3, SOURCE)
         subobject = cache.threaded(CLANG_MORELLO_O3_SUBOBJECT, SOURCE)
         assert plain is not subobject
-        assert len(cache._threaded) == 2
+        assert cache.entry_counts()["threaded"] == 2
 
     def test_eviction_is_bounded(self):
         cache = CompileCache(maxsize=2)
         for status in range(4):
             cache.threaded(CERBERUS,
                            f"int main(void) {{ return {status}; }}\n")
-        assert len(cache._threaded) <= 2
+        assert cache.entry_counts()["entries"] <= 2
 
     def test_frontend_error_cached_in_threaded_layer(self):
         cache = CompileCache()
@@ -217,7 +243,9 @@ class TestThreadedCacheLayer:
             cache.threaded(CERBERUS, BAD_SOURCE)
         with pytest.raises(CSyntaxError):
             cache.threaded(CERBERUS, BAD_SOURCE)
-        assert len(cache._threaded) == 1
+        assert cache.entry_counts()["entries"] == 1
+        assert cache.stats.threaded.hits == 1
+        assert cache.stats.parse.misses == 1
 
     def test_uncached_threaded_compile_bypasses_every_layer(self):
         # The --no-compile-cache contract for the compiled evaluator:
@@ -226,12 +254,12 @@ class TestThreadedCacheLayer:
         from repro.perf import global_cache
         from repro.perf.cache import compile_threaded
         before = global_cache().stats.lookups
-        entries = len(global_cache()._threaded)
+        entries = global_cache().entry_counts()
         first = compile_threaded(CERBERUS, SOURCE, use_cache=False)
         second = compile_threaded(CERBERUS, SOURCE, use_cache=False)
         assert first is not second
         assert global_cache().stats.lookups == before
-        assert len(global_cache()._threaded) == entries
+        assert global_cache().entry_counts() == entries
 
     def test_cached_compiled_outcome_matches_uncached(self):
         for impl in ALL_IMPLEMENTATIONS:
@@ -240,6 +268,41 @@ class TestThreadedCacheLayer:
             uncached = impl.run(SOURCE, use_cache=False,
                                 evaluator="compiled")
             assert cached == uncached, impl.name
+
+
+class TestGridStageAccounting:
+    """The per-layer counts of one cold S5 grid (94 cases x 7 impls),
+    the counters behind the benchmark's ``perf.cache.*`` metrics."""
+
+    def test_cold_grid_then_core_requests(self, tmp_path):
+        from repro.perf import (
+            clear_cache, configure_disk_cache, global_cache,
+        )
+        configure_disk_cache(enabled=True,
+                             directory=str(tmp_path / "grid-cache"))
+        clear_cache()
+        try:
+            compare_implementations(ALL_IMPLEMENTATIONS, jobs=1,
+                                    use_cache=True, evaluator="compiled")
+            stats = global_cache().stats.to_dict()
+            counts = {layer: (stats[layer]["hits"], stats[layer]["misses"])
+                      for layer in ("parse", "compiled", "core",
+                                    "threaded", "disk")}
+            # 188 compile keys (94 sources x 2 opt levels); O3 reuses
+            # the O0 parse; every other cell hits its threaded entry.
+            assert counts == {"parse": (94, 94), "compiled": (0, 188),
+                              "core": (0, 188), "threaded": (470, 188),
+                              "disk": (0, 188)}
+            assert stats["compiles_performed"] == 94
+            # The threaded entries hold their Core programs.
+            for case in all_cases():
+                for impl in ALL_IMPLEMENTATIONS:
+                    compile_core(impl, case.source)
+            after = global_cache().stats.to_dict()
+            assert after["core"]["hits"] == 658
+            assert after["total"]["misses"] == stats["total"]["misses"]
+        finally:
+            clear_cache()
 
 
 class TestBenchGateSkipReason:
@@ -272,7 +335,7 @@ class TestBenchGateSkipReason:
 
 class TestCompileRunSplit:
     def test_run_compiled_reusable_across_runs(self):
-        program = CERBERUS.compile(SOURCE)
+        program = compile_core(CERBERUS, SOURCE)
         first = CERBERUS.run_compiled(program)
         second = CERBERUS.run_compiled(program)
         assert first == second
