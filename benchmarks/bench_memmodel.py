@@ -4,19 +4,32 @@ The paper reports no performance numbers (it is a semantics paper); these
 measure the executable semantics itself so regressions in the oracle's
 usability as "a test oracle for more aggressive compiler testing" (S7)
 are visible.
+
+Each substrate operation is costed on its own: typed loads and stores
+(abstract and hardware mode, integer and capability, on both capability
+formats), CHERI Concentrate encode/decode, and heap allocate/release
+under each allocator policy.  Every body checks its result, so
+
+    python -m pytest benchmarks/bench_memmodel.py -q --benchmark-disable
+
+runs each body once as a smoke test.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.capability import MORELLO
+from repro.capability import CHERIOT, MORELLO, CompressedBounds
 from repro.ctypes import ArrayT, IKind, INT, LONG, Pointer
-from repro.impls.registry import CERBERUS_MAP
+from repro.impls.registry import CERBERUS_MAP, CHERIOT_MAP, CLANG_MORELLO_MAP
 from repro.memory import (
-    IntegerValue, MemoryModel, Mode, MVInteger, MVPointer,
+    ALLOCATOR_POLICIES, IntegerValue, MemoryModel, Mode, MVInteger,
+    MVPointer,
 )
 from repro.memory.allocation import AllocKind
+
+ARCH_MAPS = {MORELLO.name: (MORELLO, CERBERUS_MAP),
+             CHERIOT.name: (CHERIOT, CHERIOT_MAP)}
 
 
 @pytest.fixture
@@ -119,3 +132,91 @@ int main(void) {
     impl = by_name("clang-morello-O0")
     out = benchmark(impl.run, src)
     assert out.ok
+
+
+# ---------------------------------------------------------------------------
+# Substrate operations, one at a time
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def hardware_model():
+    return MemoryModel(MORELLO, Mode.HARDWARE, CLANG_MORELLO_MAP)
+
+
+def _int_round_trip(model):
+    p = model.allocate_object(INT, AllocKind.STACK, "x")
+    value = MVInteger(INT, IntegerValue.of_int(42))
+
+    def op():
+        model.store(INT, p, value)
+        return model.load(INT, p)
+    return op
+
+
+def _cap_round_trip(model):
+    x = model.allocate_object(LONG, AllocKind.STACK, "x")
+    slot = model.allocate_object(Pointer(LONG), AllocKind.STACK, "p")
+    value = MVPointer(Pointer(LONG), x)
+
+    def op():
+        model.store(Pointer(LONG), slot, value)
+        return model.load(Pointer(LONG), slot)
+    return op, x
+
+
+def test_bench_hardware_load_store_int(benchmark, hardware_model):
+    out = benchmark(_int_round_trip(hardware_model))
+    assert out.ival.value() == 42
+
+
+def test_bench_hardware_load_store_capability(benchmark, hardware_model):
+    op, x = _cap_round_trip(hardware_model)
+    out = benchmark(op)
+    assert out.ptr.cap == x.cap and out.ptr.cap.tag
+
+
+@pytest.mark.parametrize("fmt", sorted(ARCH_MAPS))
+def test_bench_load_store_capability_format(benchmark, fmt):
+    arch, address_map = ARCH_MAPS[fmt]
+    op, x = _cap_round_trip(MemoryModel(arch, Mode.ABSTRACT, address_map))
+    out = benchmark(op)
+    assert out.ptr.cap == x.cap and out.ptr.prov == x.prov
+
+
+@pytest.mark.parametrize("fmt", sorted(ARCH_MAPS))
+def test_bench_concentrate_encode(benchmark, fmt):
+    params = ARCH_MAPS[fmt][0].compression
+    bounds, exact = benchmark(CompressedBounds.encode, params, 0x12340, 3000)
+    d = bounds.decode(0x12340)
+    assert d.base <= 0x12340 and d.top >= 0x12340 + 3000
+    assert exact == (d.base == 0x12340 and d.top == 0x12340 + 3000)
+
+
+@pytest.mark.parametrize("fmt", sorted(ARCH_MAPS))
+def test_bench_concentrate_decode(benchmark, fmt):
+    params = ARCH_MAPS[fmt][0].compression
+    bounds, _ = CompressedBounds.encode(params, 0x12340, 3000)
+    d = benchmark(bounds.decode, 0x12340 + 1500)
+    assert d == bounds.decode(0x12340)
+
+
+@pytest.mark.parametrize("policy", sorted(ALLOCATOR_POLICIES))
+def test_bench_allocate_release(benchmark, policy):
+    """One ``malloc``/``free`` pair through the model and the policy."""
+    model = MemoryModel(MORELLO, Mode.ABSTRACT, CERBERUS_MAP,
+                        allocator=policy)
+
+    def op():
+        p = model.allocate_region(48)
+        model.free(p)
+        return p
+
+    p = benchmark(op)
+    assert p.cap.tag and p.cap.length >= 48
+    assert not model.allocation_of(p).alive
+    again = op().address
+    if policy == "freelist":
+        assert again == p.address       # LIFO reuse of the freed block
+    else:
+        assert again != p.address       # bump never, quarantine not yet

@@ -16,7 +16,7 @@ operation that would forge authority instead clears the tag (S2.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from repro.capability.concentrate import (
@@ -27,6 +27,10 @@ from repro.capability.concentrate import (
 from repro.capability.ghost import GhostState
 from repro.capability.otype import OType
 from repro.capability.permissions import Permission, PermissionSet
+
+
+#: Bound on the per-architecture decode memo before it is dropped.
+_DECODE_MEMO_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,13 @@ class Architecture:
             raise ValueError(
                 f"capability fields of {self.name} total {used} bits, "
                 "not a whole number of bytes")
+
+    def __getstate__(self) -> dict:
+        """Pickle the defining fields only.  The memos kept in the
+        instance dictionary (sizes, roots, permission sets, the decode
+        memo with up to thousands of capabilities) rebuild on demand, so
+        shipping an implementation to a worker stays cheap."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # -- sizes ----------------------------------------------------------
     # Sizes are fixed per (frozen) architecture and consulted on every
@@ -106,6 +117,19 @@ class Architecture:
             self.__dict__["_root_cap"] = memo
         return memo
 
+    def derived_root(self, mask: PermissionSet) -> "Capability":
+        """The root capability with its permissions narrowed to ``mask``.
+
+        Allocation capabilities (data, const, code) start from one of a
+        handful of such roots; each is derived once per mask and shared.
+        """
+        memo = self.__dict__.setdefault("_derived_roots", {})
+        cap = memo.get(mask)
+        if cap is None:
+            cap = self.root_capability().with_perms_masked(mask)
+            memo[mask] = cap
+        return cap
+
     def null_capability(self, address: int = 0) -> "Capability":
         """The NULL-derived capability: untagged, permissionless.
 
@@ -114,14 +138,9 @@ class Architecture:
         authority is conveyed by the (absent) tag and (empty) perms.
         """
         bounds = CompressedBounds.maximal(self.compression)
-        return Capability(
-            arch=self,
-            address=address & self.address_mask,
-            bounds_fields=bounds,
-            perms=PermissionSet.empty(),
-            otype=OType.unsealed(),
-            tag=False,
-        )
+        return _make_cap(self, address & self.address_mask, bounds,
+                         PermissionSet.empty(), OType.unsealed(), False,
+                         GhostState.clean())
 
     # -- representation bytes --------------------------------------------
 
@@ -145,7 +164,26 @@ class Architecture:
 
     def decode(self, data: bytes, tag: bool,
                ghost: GhostState = GhostState()) -> "Capability":
-        """Rebuild a capability from representation bytes plus its tag."""
+        """Rebuild a capability from representation bytes plus its tag.
+
+        Capabilities are immutable and a decode is a pure function of
+        its three inputs, so one value is shared per distinct input: a
+        pointer loaded again and again is one instance, which keeps its
+        decoded bounds and passed access checks.  The memo is bounded
+        like the layout memos (fuzzing makes fresh values forever).
+        """
+        memo = self.__dict__.setdefault("_decode_memo", {})
+        key = (data, tag, ghost)
+        cap = memo.get(key)
+        if cap is None:
+            cap = self._decode(data, tag, ghost)
+            if len(memo) >= _DECODE_MEMO_LIMIT:
+                memo.clear()
+            memo[key] = cap
+        return cap
+
+    def _decode(self, data: bytes, tag: bool,
+                ghost: GhostState) -> "Capability":
         if len(data) != self.capability_size:
             raise ValueError(
                 f"capability representation must be {self.capability_size}"
@@ -172,15 +210,9 @@ class Architecture:
                 perm for i, perm in enumerate(self.perm_order)
                 if (perm_bits >> i) & 1)
             memo[perm_bits] = perms
-        return Capability(
-            arch=self,
-            address=address,
-            bounds_fields=CompressedBounds(p, b_field, t_field, internal),
-            perms=perms,
-            otype=otype,
-            tag=tag,
-            ghost=ghost,
-        )
+        return _make_cap(self, address,
+                         CompressedBounds(p, b_field, t_field, internal),
+                         perms, otype, tag, ghost)
 
     # -- portability envelope ---------------------------------------------
 
@@ -224,9 +256,13 @@ class Capability:
     def decoded(self) -> DecodedBounds:
         """Decode the bounds relative to the current address.
 
-        Both inputs are frozen, so the result is memoised per instance;
-        every clone (``with_address`` etc.) builds a fresh instance and
-        therefore re-derives its own bounds, exactly as hardware does.
+        Both inputs are frozen, so the result is memoised per instance.
+        A clone inherits the memo only when its decode is known to be
+        equal: clones that keep the address and bounds fields (tag,
+        perms, otype, ghost), and address moves inside the
+        representable window, where decoding yields the same bounds by
+        construction.  Any other clone re-derives its own bounds,
+        exactly as hardware does.
         """
         memo = self.__dict__.get("_decoded_memo")
         if memo is None:
@@ -267,6 +303,21 @@ class Capability:
     def has_perm(self, *perms: Permission) -> bool:
         return self.perms.has(*perms)
 
+    def passed_checks(self) -> set:
+        """Access-check keys this capability is known to pass.
+
+        The memory model's capability checks (ghost, tag, seal,
+        permission, bounds) read only the capability's own frozen
+        fields plus the access's shape, so a pass is a fact about this
+        instance.  The model records the shape of each passing access
+        here and skips those checks on a repeat; failures are never
+        recorded, and clones start with an empty set.
+        """
+        memo = self.__dict__.get("_passed_memo")
+        if memo is None:
+            memo = self.__dict__["_passed_memo"] = set()
+        return memo
+
     # -- address movement ---------------------------------------------------
 
     def representable_limits(self) -> tuple[int, int]:
@@ -286,8 +337,9 @@ class Capability:
         representable = self.bounds_fields.is_representable(
             self.address, new_address)
         tag = self.tag and representable and not self.is_sealed
-        return Capability(self.arch, new_address, self.bounds_fields,
-                          self.perms, self.otype, tag, self.ghost)
+        return _make_cap(self.arch, new_address, self.bounds_fields,
+                         self.perms, self.otype, tag, self.ghost,
+                         self._shared_decode(representable))
 
     def with_address_ghost(self, new_address: int) -> "Capability":
         """Abstract-machine semantics of S3.3 option (c).
@@ -307,8 +359,17 @@ class Capability:
         if not representable:
             ghost = ghost.with_tag_unspecified().with_bounds_unspecified()
         tag = self.tag and not self.is_sealed
-        return Capability(self.arch, new_address, self.bounds_fields,
-                          self.perms, self.otype, tag, ghost)
+        return _make_cap(self.arch, new_address, self.bounds_fields,
+                         self.perms, self.otype, tag, ghost,
+                         self._shared_decode(representable))
+
+    def _shared_decode(self, representable: bool) -> DecodedBounds | None:
+        """The bounds memo an address-moved clone may inherit: only
+        inside the representable window does the new address decode to
+        the same bounds."""
+        if representable:
+            return self.__dict__.get("_decoded_memo")
+        return None
 
     # -- monotonic narrowing ------------------------------------------------
 
@@ -332,26 +393,26 @@ class Capability:
                      if length > 0 else
                      self.decoded().contains(base, 0) or base == self.top)
         tag = self.tag and monotonic and not self.is_sealed
-        cap = Capability(self.arch, base, fields_, self.perms,
-                         self.otype, tag, self.ghost)
+        cap = _make_cap(self.arch, base, fields_, self.perms, self.otype,
+                        tag, self.ghost)
         return cap, exact
 
     def without_perms(self, *perms: Permission) -> "Capability":
-        return replace(self, perms=self.perms.without(*perms))
+        return self._clone(perms=self.perms.without(*perms))
 
     def with_perms_masked(self, mask: PermissionSet) -> "Capability":
-        return replace(self, perms=self.perms.intersect(mask))
+        return self._clone(perms=self.perms.intersect(mask))
 
     # -- sealing --------------------------------------------------------
 
     def sealed_with(self, otype: OType) -> "Capability":
         """Seal with the given object type (authority checked by caller)."""
         if self.is_sealed:
-            return replace(self, tag=False)
-        return replace(self, otype=otype)
+            return self._clone(tag=False)
+        return self._clone(otype=otype)
 
     def unsealed(self) -> "Capability":
-        return replace(self, otype=OType.unsealed())
+        return self._clone(otype=OType.unsealed())
 
     # -- comparisons ----------------------------------------------------
 
@@ -368,13 +429,26 @@ class Capability:
     # -- ghost plumbing ----------------------------------------------------
 
     def with_ghost(self, ghost: GhostState) -> "Capability":
-        return replace(self, ghost=ghost)
+        return self._clone(ghost=ghost)
 
     def merge_ghost(self, ghost: GhostState) -> "Capability":
-        return replace(self, ghost=self.ghost.merge(ghost))
+        return self._clone(ghost=self.ghost.merge(ghost))
 
     def with_tag(self, tag: bool) -> "Capability":
-        return replace(self, tag=tag)
+        return self._clone(tag=tag)
+
+    def _clone(self, *, perms: PermissionSet | None = None,
+               otype: OType | None = None, tag: bool | None = None,
+               ghost: GhostState | None = None) -> "Capability":
+        """A copy differing only in metadata; address and bounds fields
+        are unchanged, so the clone shares the decoded-bounds memo."""
+        return _make_cap(
+            self.arch, self.address, self.bounds_fields,
+            self.perms if perms is None else perms,
+            self.otype if otype is None else otype,
+            self.tag if tag is None else tag,
+            self.ghost if ghost is None else ghost,
+            self.__dict__.get("_decoded_memo"))
 
     # -- display ------------------------------------------------------------
 
@@ -384,3 +458,32 @@ class Capability:
         ghost = "" if self.ghost.is_clean else f" ghost[{self.ghost.describe()}]"
         return (f"<cap {self.address:#x} [{self.perms.describe()},"
                 f"{d.base:#x}-{d.top:#x}]{state}{ghost}>")
+
+
+_new = object.__new__
+
+
+def _make_cap(arch: Architecture, address: int,
+              bounds_fields: CompressedBounds, perms: PermissionSet,
+              otype: OType, tag: bool, ghost: GhostState,
+              decoded: DecodedBounds | None = None) -> Capability:
+    """The one internal constructor for derived capabilities.
+
+    It fills the instance dictionary directly instead of going through
+    the frozen dataclass ``__init__`` (one ``object.__setattr__`` per
+    field); the fields are the same, so equality, hashing and pickling
+    are unchanged.  ``decoded`` seeds the bounds memo and must equal
+    ``bounds_fields.decode(address)``.
+    """
+    cap = _new(Capability)
+    state = cap.__dict__
+    state["arch"] = arch
+    state["address"] = address
+    state["bounds_fields"] = bounds_fields
+    state["perms"] = perms
+    state["otype"] = otype
+    state["tag"] = tag
+    state["ghost"] = ghost
+    if decoded is not None:
+        state["_decoded_memo"] = decoded
+    return cap

@@ -42,7 +42,7 @@ class FieldLayout:
 #: sizing tables per run.
 _INSTANCES: dict[str, "TargetLayout"] = {}
 
-#: Bound on the per-layout struct-layout memo before it is dropped and
+#: Bound on each per-layout type-node memo before it is dropped and
 #: rebuilt (a long fuzz campaign generates fresh type nodes).
 _MEMO_LIMIT = 4096
 
@@ -89,6 +89,7 @@ class TargetLayout:
         # id-keyed struct-layout memo; each entry retains the key object
         # so a recycled id can never alias a different type node.
         self._struct_memo: dict[int, tuple] = {}
+        self._plan_memo: dict[int, tuple] = {}
 
     # -- integer properties ------------------------------------------------
 
@@ -211,6 +212,28 @@ class TargetLayout:
             if f.name == member:
                 return f.offset
         raise CTypeError(f"{ctype} has no member {member!r}")
+
+    # -- typed-access plan ----------------------------------------------
+
+    def access_plan(self, ctype: CType) -> tuple[int, bool, bool]:
+        """What a typed load or store needs to know about its type:
+        ``(sizeof(ctype), is_capability_type(ctype), is a non-capability
+        integer)``.
+
+        Memoised per type node, keyed by identity like
+        :meth:`struct_fields`; a type ``sizeof`` rejects raises every
+        time and is never memoised.
+        """
+        memo = self._plan_memo.get(id(ctype))
+        if memo is not None and memo[0] is ctype:
+            return memo[1]
+        plan = (self.sizeof(ctype), self.is_capability_type(ctype),
+                isinstance(ctype, Integer)
+                and not ctype.kind.is_capability_carrying)
+        if len(self._plan_memo) >= _MEMO_LIMIT:
+            self._plan_memo.clear()
+        self._plan_memo[id(ctype)] = (ctype, plan)
+        return plan
 
     # -- capability-carrying predicate ---------------------------------------
 

@@ -67,10 +67,7 @@ class MallocUnpaddedModel(MemoryModel):
         for slot in self.state.cap_slots(base, size):
             self.state.capmeta.pop(slot, None)
         # ...so the capability's rounded bounds may exceed it.
-        from repro.memory.model import DATA_PERMS
-        cap = self._root.with_perms_masked(
-            DATA_PERMS.intersect(self.arch.root_permissions()))
-        cap, _ = cap.set_bounds(base, size)
+        cap, _ = self._data_root.set_bounds(base, size)
         from repro.memory.provenance import Provenance
         return PointerValue(Provenance.alloc(ident), cap)
 
@@ -89,9 +86,8 @@ class ConstWritableModel(MemoryModel):
     def allocate_string(self, data, name=""):
         ptr = super().allocate_string(data, name=name)
         # Rebuild the string capability with full (writable) permissions.
-        writable = self._root.with_perms_masked(
-            self.arch.root_permissions())
-        cap, _ = writable.set_bounds(ptr.cap.base, ptr.cap.length)
+        cap, _ = self.arch.root_capability().set_bounds(ptr.cap.base,
+                                                        ptr.cap.length)
         alloc = self.state.allocations.get(ptr.prov.ident)
         if alloc is not None:
             alloc.readonly = False

@@ -17,20 +17,38 @@ from dataclasses import dataclass
 from repro.memory.provenance import Provenance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AbsByte:
     prov: Provenance
     value: int | None = None
     index: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.value is not None and not 0 <= self.value <= 0xFF:
-            raise ValueError(f"byte value out of range: {self.value}")
+    def __init__(self, prov: Provenance, value: int | None = None,
+                 index: int | None = None) -> None:
+        # Every stored byte is built here, so the fields go straight
+        # into the instance dictionary rather than through the frozen
+        # dataclass's per-field ``object.__setattr__``.
+        if value is not None and not 0 <= value <= 0xFF:
+            raise ValueError(f"byte value out of range: {value}")
+        state = self.__dict__
+        state["prov"] = prov
+        state["value"] = value
+        state["index"] = index
 
     @classmethod
     def unspec(cls) -> "AbsByte":
         """An uninitialised byte."""
         return _UNSPEC
+
+    @classmethod
+    def plain(cls, value: int) -> "AbsByte":
+        """The provenance-free byte ``value`` (0..255).
+
+        Bytes are immutable, so the 256 plain ones are interned: integer
+        stores and ``memset`` share them instead of building a fresh
+        byte per address.
+        """
+        return _PLAIN[value]
 
     @property
     def is_unspecified(self) -> bool:
@@ -38,3 +56,4 @@ class AbsByte:
 
 
 _UNSPEC = AbsByte(Provenance.empty())
+_PLAIN = tuple(AbsByte(Provenance.empty(), v) for v in range(256))

@@ -75,6 +75,10 @@ if TYPE_CHECKING:  # pragma: no cover - hints only (import cycle guard)
     from repro.robust.budget import BudgetMeter
 
 
+#: What an address never written reads as (the byte map's default).
+_UNSPEC_BYTE = AbsByte.unspec()
+
+
 class Mode(enum.Enum):
     ABSTRACT = "abstract"
     HARDWARE = "hardware"
@@ -87,6 +91,10 @@ DATA_PERMS = PermissionSet.of(
     Permission.LOAD_CAP, Permission.STORE_CAP, Permission.STORE_LOCAL_CAP,
     Permission.MUTABLE_LOAD,
 )
+
+#: Data allocations of const objects lack write permission (S3.9).
+CONST_PERMS = DATA_PERMS.without(
+    Permission.STORE, Permission.STORE_CAP, Permission.STORE_LOCAL_CAP)
 
 #: Permissions granted to function capabilities.
 CODE_PERMS = PermissionSet.of(
@@ -126,7 +134,11 @@ class MemoryModel:
         #: flattens its step/deadline limits onto the hot path.
         self.meter = meter
         self.state.allocator.meter = meter
-        self._root = arch.root_capability()
+        # Every allocation's capability is one of these roots with its
+        # bounds set; the roots are shared per architecture.
+        self._data_root = arch.derived_root(DATA_PERMS)
+        self._const_root = arch.derived_root(CONST_PERMS)
+        self._code_root = arch.derived_root(CODE_PERMS)
 
     # ------------------------------------------------------------------
     # Error helpers
@@ -203,9 +215,8 @@ class MemoryModel:
                              readonly=True, ctype=None)
         # Code capabilities are derived from the PCC-like root, not from
         # a data capability: rebuild from the root with code permissions.
-        cap = self._root.with_perms_masked(
-            CODE_PERMS.intersect(self.arch.root_permissions()))
-        cap, _exact = cap.set_bounds(ptr.cap.base, ptr.cap.length)
+        cap, _exact = self._code_root.set_bounds(ptr.cap.base,
+                                                 ptr.cap.length)
         cap = cap.sealed_with(OType.sentry())
         return ptr.with_cap(cap)
 
@@ -244,14 +255,9 @@ class MemoryModel:
                 for slot in [s for s in capmeta if first <= s <= last]:
                     del capmeta[slot]
 
-        perms = DATA_PERMS
-        if readonly:
-            # S3.9: capabilities to const objects lack write permission.
-            perms = perms.without(Permission.STORE, Permission.STORE_CAP,
-                                  Permission.STORE_LOCAL_CAP)
-        cap = self._root.with_perms_masked(
-            perms.intersect(self.arch.root_permissions()))
-        cap, _exact = cap.set_bounds(base, size)
+        # S3.9: capabilities to const objects lack write permission.
+        root = self._const_root if readonly else self._data_root
+        cap, _exact = root.set_bounds(base, size)
         if not cap.tag:
             raise MemoryModelError(
                 f"allocator produced unrepresentable bounds at {base:#x}")
@@ -297,15 +303,9 @@ class MemoryModel:
         if ptr.is_null():
             return
         if self.hardware:
-            for alloc in self.state.allocations.values():
-                if (alloc.kind is AllocKind.HEAP and alloc.alive
-                        and alloc.base == ptr.address):
-                    alloc.alive = False
-                    self.state.allocator.release(alloc)
-                    self._emit_free(alloc)
-                    if self.revocation:
-                        self._revoke_region(alloc.base, alloc.top)
-                    return
+            alloc = self._live_heap_block_at(ptr.address)
+            if alloc is not None:
+                self._release_heap(alloc)
             return
         alloc = self._prov_allocation(ptr)
         if alloc is None or alloc.kind is not AllocKind.HEAP:
@@ -318,9 +318,27 @@ class MemoryModel:
         if ptr.address != alloc.base:
             raise self._ub(UB.FREE_NON_MATCHING,
                            "free of interior pointer", alloc=alloc.ident)
+        self._release_heap(alloc)
+
+    def _live_heap_block_at(self, address: int) -> Allocation | None:
+        """Hardware ``free``/``realloc``: the allocator's address lookup."""
+        for alloc in self.state.allocations.values():
+            if (alloc.kind is AllocKind.HEAP and alloc.alive
+                    and alloc.base == address):
+                return alloc
+        return None
+
+    def _release_heap(self, alloc: Allocation) -> None:
+        """End a heap block's lifetime (``free``, and ``realloc``'s old
+        block): kill it, return it to the allocator, record the free,
+        and sweep stale capabilities when the implementation revokes.
+        Revocation is a hardware mechanism; the abstract machine's
+        liveness check (1f) already makes every later use UB."""
         alloc.alive = False
         self.state.allocator.release(alloc)
         self._emit_free(alloc)
+        if self.revocation and self.hardware:
+            self._revoke_region(alloc.base, alloc.top)
 
     def _emit_free(self, alloc: Allocation) -> None:
         bus = self.bus
@@ -351,16 +369,13 @@ class MemoryModel:
             if not alloc.alive:
                 raise self._ub(UB.DOUBLE_FREE, "realloc after free")
         else:
-            alloc = next((a for a in self.state.allocations.values()
-                          if a.kind is AllocKind.HEAP and a.alive
-                          and a.base == ptr.address), None)
+            alloc = self._live_heap_block_at(ptr.address)
             if alloc is None:
                 return self.allocate_region(new_size, name="realloc")
         new_ptr = self.allocate_region(new_size, name="realloc")
         count = min(alloc.size, new_size)
         self._raw_copy(new_ptr.address, ptr.address, count)
-        alloc.alive = False
-        self.state.allocator.release(alloc)
+        self._release_heap(alloc)
         return new_ptr
 
     def _revoke_region(self, base: int, top: int) -> None:
@@ -402,28 +417,22 @@ class MemoryModel:
         Hardware mode checks what the CPU checks (tag, seal, permission,
         bounds); the abstract machine additionally enforces the ghost and
         provenance conditions of the paper's load/store rules.
+
+        The capability checks (:meth:`_check_capability`) read only the
+        frozen capability and the access's shape, so a pass is memoised
+        on the capability.  The checks that read mutable state --
+        provenance resolution, (1f) liveness, (1g) footprint and
+        write-to-const -- run on every access.
         """
         cap = ptr.cap
-        perm = Permission.STORE if store else Permission.LOAD
+        hardware = self.mode is Mode.HARDWARE
+        shape = (hardware, size, store, initialising)
+        passed = cap.passed_checks()
+        if shape not in passed:
+            self._check_capability(ptr, size, store, initialising)
+            passed.add(shape)
         op = "store" if store else "load"
-        if self.hardware:
-            if not cap.tag:
-                raise self._trap(
-                    TrapKind.TAG_VIOLATION,
-                    f"access via untagged cap at {cap.address:#x}")
-            if cap.is_sealed:
-                raise self._trap(
-                    TrapKind.SEAL_VIOLATION,
-                    f"access via sealed cap at {cap.address:#x}")
-            if not cap.has_perm(perm) and not initialising:
-                raise self._trap(TrapKind.PERMISSION_VIOLATION,
-                                 f"missing {perm.name}")
-            if not cap.in_bounds(cap.address, size):
-                d = cap.decoded()
-                raise self._trap(
-                    TrapKind.BOUNDS_VIOLATION,
-                    f"[{cap.address:#x},+{size}) outside "
-                    f"[{d.base:#x},{d.top:#x})")
+        if hardware:
             bus = self.bus
             if bus is not None:
                 bus.emit("check.access", op=op, addr=hex(cap.address),
@@ -431,34 +440,11 @@ class MemoryModel:
                          what=f"{op} [{cap.address:#x},+{size}) ok")
             return None
 
-        # -- abstract machine ---------------------------------------------
-        # Check order mirrors hardware fault priority (tag before
-        # permissions), so an untagged NULL-derived capability -- which
-        # also has no permissions -- reports UB_CHERI_InvalidCap.
-        ctx = self._prov_ctx(ptr)
-        if cap.is_null():
-            raise self._ub(UB.NULL_DEREFERENCE)
-        if cap.ghost.tag_unspecified or cap.ghost.bounds_unspecified:  # (1c)
-            raise self._ub(UB.CHERI_UNDEFINED_TAG,
-                           "capability with unspecified ghost state", **ctx)
-        if not cap.tag:                                            # (1d)
-            raise self._ub(UB.CHERI_INVALID_CAP,
-                           f"untagged cap at {cap.address:#x}", **ctx)
-        if cap.is_sealed:
-            raise self._ub(UB.CHERI_INVALID_CAP, "sealed capability", **ctx)
-        if not cap.has_perm(perm) and not initialising:            # (1b)
-            raise self._ub(UB.CHERI_INSUFFICIENT_PERMISSIONS,
-                           f"missing {perm.name}", **ctx)
-        if not cap.in_bounds(cap.address, size):                   # (1e)
-            d = cap.decoded()
-            raise self._ub(
-                UB.CHERI_BOUNDS_VIOLATION,
-                f"[{cap.address:#x},+{size}) outside [{d.base:#x},{d.top:#x})",
-                **ctx)
         alloc = self._resolve_for_access(ptr, size)
         if alloc is None:
             raise self._ub(UB.EMPTY_PROVENANCE_ACCESS,
-                           f"access at {cap.address:#x}", **ctx)
+                           f"access at {cap.address:#x}",
+                           **self._prov_ctx(ptr))
         if not alloc.alive:                                        # (1f)
             raise self._ub(UB.ACCESS_DEAD_ALLOCATION,
                            f"allocation @{alloc.ident} is dead",
@@ -478,6 +464,60 @@ class MemoryModel:
                      what=f"{op} [{cap.address:#x},+{size}) ok "
                           f"via @{alloc.ident}")
         return alloc
+
+    def _check_capability(self, ptr: PointerValue, size: int, store: bool,
+                          initialising: bool) -> None:
+        """The checks that depend on the capability alone; raises the
+        first failure.  A pure function of the capability and ``(mode,
+        size, store, initialising)``."""
+        cap = ptr.cap
+        perm = Permission.STORE if store else Permission.LOAD
+        if self.hardware:
+            if not cap.tag:
+                raise self._trap(
+                    TrapKind.TAG_VIOLATION,
+                    f"access via untagged cap at {cap.address:#x}")
+            if cap.is_sealed:
+                raise self._trap(
+                    TrapKind.SEAL_VIOLATION,
+                    f"access via sealed cap at {cap.address:#x}")
+            if not cap.has_perm(perm) and not initialising:
+                raise self._trap(TrapKind.PERMISSION_VIOLATION,
+                                 f"missing {perm.name}")
+            if not cap.in_bounds(cap.address, size):
+                d = cap.decoded()
+                raise self._trap(
+                    TrapKind.BOUNDS_VIOLATION,
+                    f"[{cap.address:#x},+{size}) outside "
+                    f"[{d.base:#x},{d.top:#x})")
+            return
+
+        # -- abstract machine ---------------------------------------------
+        # Check order mirrors hardware fault priority (tag before
+        # permissions), so an untagged NULL-derived capability -- which
+        # also has no permissions -- reports UB_CHERI_InvalidCap.
+        if cap.is_null():
+            raise self._ub(UB.NULL_DEREFERENCE)
+        if cap.ghost.tag_unspecified or cap.ghost.bounds_unspecified:  # (1c)
+            raise self._ub(UB.CHERI_UNDEFINED_TAG,
+                           "capability with unspecified ghost state",
+                           **self._prov_ctx(ptr))
+        if not cap.tag:                                            # (1d)
+            raise self._ub(UB.CHERI_INVALID_CAP,
+                           f"untagged cap at {cap.address:#x}",
+                           **self._prov_ctx(ptr))
+        if cap.is_sealed:
+            raise self._ub(UB.CHERI_INVALID_CAP, "sealed capability",
+                           **self._prov_ctx(ptr))
+        if not cap.has_perm(perm) and not initialising:            # (1b)
+            raise self._ub(UB.CHERI_INSUFFICIENT_PERMISSIONS,
+                           f"missing {perm.name}", **self._prov_ctx(ptr))
+        if not cap.in_bounds(cap.address, size):                   # (1e)
+            d = cap.decoded()
+            raise self._ub(
+                UB.CHERI_BOUNDS_VIOLATION,
+                f"[{cap.address:#x},+{size}) outside [{d.base:#x},{d.top:#x})",
+                **self._prov_ctx(ptr))
 
     def _prov_allocation(self, ptr: PointerValue) -> Allocation | None:
         """The allocation identified by a (resolved) provenance."""
@@ -527,8 +567,9 @@ class MemoryModel:
 
     def load(self, ctype: CType, ptr: PointerValue) -> MemoryValue:
         """The ``load`` rule of S4.3."""
-        size = self.layout.sizeof(ctype)
-        self._check_align(ctype, ptr.address)
+        size, is_cap, _ = self.layout.access_plan(ctype)
+        if is_cap:
+            self._check_cap_align(ptr.address)
         self._check_access(ptr, size, store=False)
         value = self._decode_value(ctype, ptr.address, via=ptr.cap)
         bus = self.bus
@@ -540,8 +581,9 @@ class MemoryModel:
 
     def store(self, ctype: CType, ptr: PointerValue, value: MemoryValue,
               *, initialising: bool = False) -> None:
-        size = self.layout.sizeof(ctype)
-        self._check_align(ctype, ptr.address)
+        size, is_cap, _ = self.layout.access_plan(ctype)
+        if is_cap:
+            self._check_cap_align(ptr.address)
         self._check_access(ptr, size, store=True, initialising=initialising)
         self._encode_value(ctype, ptr.address, value, via=ptr.cap)
         bus = self.bus
@@ -550,11 +592,9 @@ class MemoryModel:
                      ctype=str(ctype), **self._prov_ctx(ptr),
                      what=f"store {ctype} at {ptr.address:#x}")
 
-    def _check_align(self, ctype: CType, addr: int) -> None:
+    def _check_cap_align(self, addr: int) -> None:
         """Capability-sized accesses must be capability-aligned; hardware
         raises an alignment abort, the abstract machine flags UB."""
-        if not self.layout.is_capability_type(ctype):
-            return
         if addr % self.arch.capability_size == 0:
             return
         if self.hardware:
@@ -567,9 +607,12 @@ class MemoryModel:
 
     def _decode_value(self, ctype: CType, addr: int, *,
                       via: Capability | None) -> MemoryValue:
+        _, is_cap, is_int = self.layout.access_plan(ctype)
+        if is_cap:
+            return self._decode_capability(ctype, addr, via=via)
+        if is_int:
+            return self._decode_integer(ctype, addr)
         if isinstance(ctype, ArrayT):
-            if ctype.length is None:
-                raise MemoryModelError("load at incomplete array type")
             esize = self.layout.sizeof(ctype.elem)
             elems = tuple(
                 self._decode_value(ctype.elem, addr + i * esize, via=via)
@@ -584,23 +627,18 @@ class MemoryModel:
                 (f.name, self._decode_value(f.ctype, addr + f.offset, via=via))
                 for f in self.layout.struct_fields(ctype))
             return MVStruct(ctype, members)
-        if self.layout.is_capability_type(ctype):
-            return self._decode_capability(ctype, addr, via=via)
-        if isinstance(ctype, Integer):
-            return self._decode_integer(ctype, addr)
         raise MemoryModelError(f"load at unhandled type {ctype}")
 
     def _decode_integer(self, ctype: Integer, addr: int) -> MemoryValue:
         size = self.layout.int_size(ctype.kind)
-        raw = [self.state.read_byte(addr + i) for i in range(size)]
-        if any(b.is_unspecified for b in raw):
-            if self.hardware:
-                value = int.from_bytes(
-                    bytes(b.value or 0 for b in raw), "little")
-            else:
+        get = self.state.bytes.get
+        raw = [get(a, _UNSPEC_BYTE) for a in range(addr, addr + size)]
+        values = [b.value for b in raw]
+        if None in values:
+            if not self.hardware:
                 return MVUnspecified(ctype)
-        else:
-            value = int.from_bytes(bytes(b.value for b in raw), "little")
+            values = [v or 0 for v in values]
+        value = int.from_bytes(bytes(values), "little")
         value = self.layout.wrap(ctype.kind, value)
         ival = IntegerValue.of_int(value)
         if size == 1 and not raw[0].prov.is_empty:
@@ -613,16 +651,20 @@ class MemoryModel:
     def _decode_capability(self, ctype: CType, addr: int, *,
                            via: Capability | None) -> MemoryValue:
         size = self.arch.capability_size
-        raw = [self.state.read_byte(addr + i) for i in range(size)]
-        unspec = sum(1 for b in raw if b.is_unspecified)
-        if unspec and not self.hardware:
-            if unspec == size:
-                return MVUnspecified(ctype)
-            # Partially-overwritten capability representation: decoding
-            # the stored representation fails (ISO UB012, S4.2).
-            raise self._ub(UB.READ_TRAP_REPRESENTATION,
-                           f"partial capability at {addr:#x}")
-        data = bytes(b.value or 0 for b in raw)
+        get = self.state.bytes.get
+        raw = [get(a, _UNSPEC_BYTE) for a in range(addr, addr + size)]
+        values = [b.value for b in raw]
+        if None in values:
+            if not self.hardware:
+                if values.count(None) == size:
+                    return MVUnspecified(ctype)
+                # Partially-overwritten capability representation:
+                # decoding the stored representation fails (ISO UB012,
+                # S4.2).
+                raise self._ub(UB.READ_TRAP_REPRESENTATION,
+                               f"partial capability at {addr:#x}")
+            values = [v or 0 for v in values]
+        data = bytes(values)
         meta = self.state.capmeta_at(addr)
         tag, ghost = meta.tag, meta.ghost
         if self.hardware:
@@ -648,7 +690,7 @@ class MemoryModel:
         if first.is_empty:
             return Provenance.empty()
         for i, b in enumerate(raw):
-            if b.prov != first:
+            if b.prov is not first and b.prov != first:
                 return Provenance.empty()
             if b.index is not None and b.index != i:
                 return Provenance.empty()
@@ -680,11 +722,17 @@ class MemoryModel:
 
     def _encode_value(self, ctype: CType, addr: int, value: MemoryValue, *,
                       via: Capability | None) -> None:
+        size, is_cap, is_int = self.layout.access_plan(ctype)
         if isinstance(value, MVUnspecified):
-            size = self.layout.sizeof(ctype)
             for i in range(size):
                 self.state.bytes.pop(addr + i, None)
             self.state.taint_capmeta(addr, size, self.hardware)
+            return
+        if is_cap:
+            self._encode_capability(ctype, addr, value, via=via)
+            return
+        if is_int:
+            self._encode_integer(ctype, addr, value)
             return
         if isinstance(ctype, ArrayT):
             if not isinstance(value, MVArray):
@@ -708,12 +756,6 @@ class MemoryModel:
                 self._encode_value(f.ctype, addr + f.offset,
                                    value.member(f.name), via=via)
             return
-        if self.layout.is_capability_type(ctype):
-            self._encode_capability(ctype, addr, value, via=via)
-            return
-        if isinstance(ctype, Integer):
-            self._encode_integer(ctype, addr, value)
-            return
         raise MemoryModelError(f"store at unhandled type {ctype}")
 
     def _encode_integer(self, ctype: Integer, addr: int,
@@ -725,15 +767,16 @@ class MemoryModel:
         ival = value.ival
         num = self.layout.wrap(ctype.kind, ival.value())
         data = (num & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
-        copied_cap_byte = False
-        for i, byte in enumerate(data):
-            prov = Provenance.empty()
-            if size == 1 and not ival.prov.is_empty and ival.cap is None:
-                # A char value read from a pointer representation keeps
-                # its provenance through the copy (S3.5 loop example).
-                prov = ival.prov
-                copied_cap_byte = True
-            self.state.write_byte(addr + i, AbsByte(prov, byte))
+        copied_cap_byte = (size == 1 and not ival.prov.is_empty
+                           and ival.cap is None)
+        bytes_map = self.state.bytes
+        if copied_cap_byte:
+            # A char value read from a pointer representation keeps its
+            # provenance through the copy (S3.5 loop example).
+            bytes_map[addr] = AbsByte(ival.prov, data[0])
+        else:
+            for i, byte in enumerate(data):
+                bytes_map[addr + i] = AbsByte.plain(byte)
         self._taint_after_data_write(addr, size, copied_cap_byte)
 
     def _taint_after_data_write(self, addr: int, size: int,
@@ -794,8 +837,9 @@ class MemoryModel:
             raise self._ub(UB.CHERI_INSUFFICIENT_PERMISSIONS,
                            "missing STORE_CAP")
         data = self.arch.encode(cap)
+        bytes_map = self.state.bytes
         for i, byte in enumerate(data):
-            self.state.write_byte(addr + i, AbsByte(prov, byte, index=i))
+            bytes_map[addr + i] = AbsByte(prov, byte, i)
         ghost = GhostState() if self.hardware else cap.ghost
         self.state.set_capmeta(addr, CapMeta(tag=cap.tag, ghost=ghost))
 
@@ -960,10 +1004,9 @@ class MemoryModel:
                 raise self._ub(UB.PTR_DIFF_DIFFERENT_PROVENANCE,
                                f"{a.address:#x} - {b.address:#x}")
         esize = self.layout.sizeof(elem)
-        delta = a.address - b.address
-        if delta % esize:
-            return delta // esize  # implementation-defined rounding
-        return delta // esize
+        # Floor division: the rounding of a non-multiple distance is
+        # implementation-defined.
+        return (a.address - b.address) // esize
 
     def _effective_prov_id(self, ptr: PointerValue) -> int | None:
         prov = ptr.prov
@@ -1132,9 +1175,9 @@ class MemoryModel:
         if n == 0:
             return dest
         self._check_access(dest, n, store=True)
+        plain = AbsByte.plain(byte & 0xFF)
         for i in range(n):
-            self.state.write_byte(dest.address + i,
-                                  AbsByte(Provenance.empty(), byte & 0xFF))
+            self.state.write_byte(dest.address + i, plain)
         self.state.taint_capmeta(dest.address, n, self.hardware)
         bus = self.bus
         if bus is not None:

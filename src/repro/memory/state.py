@@ -107,14 +107,18 @@ class MemState:
         size = self.arch.capability_size
         return addr & ~(size - 1)
 
-    def cap_slots(self, addr: int, size: int) -> list[int]:
-        """Capability-aligned slot addresses overlapping [addr, addr+size)."""
+    def cap_slots(self, addr: int, size: int) -> range:
+        """Capability-aligned slot addresses overlapping [addr, addr+size).
+
+        A ``range``, so sizing or indexing the slots of a large region
+        costs nothing.
+        """
         if size <= 0:
-            return []
+            return range(0)
         cap = self.arch.capability_size
         first = self.cap_align_down(addr)
         last = self.cap_align_down(addr + size - 1)
-        return list(range(first, last + 1, cap))
+        return range(first, last + 1, cap)
 
     def capmeta_at(self, addr: int) -> CapMeta:
         return self.capmeta.get(addr, CapMeta())
@@ -130,6 +134,8 @@ class MemState:
         ghost state (S3.5, S4.3), licensing optimisations that remove the
         write.
         """
+        if not self.capmeta:
+            return
         for slot in self.cap_slots(addr, size):
             meta = self.capmeta.get(slot)
             if meta is None:

@@ -17,7 +17,7 @@ exposure machinery remains the fallback for plain integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.capability.abstract import Capability
 from repro.ctypes.types import ArrayT, CType, StructT, UnionT
@@ -108,10 +108,10 @@ class PointerValue:
         return self.cap.address
 
     def with_cap(self, cap: Capability) -> "PointerValue":
-        return replace(self, cap=cap)
+        return PointerValue(self.prov, cap)
 
     def with_prov(self, prov: Provenance) -> "PointerValue":
-        return replace(self, prov=prov)
+        return PointerValue(prov, self.cap)
 
     def is_null(self) -> bool:
         return self.cap.is_null()

@@ -223,3 +223,52 @@ int main(void) {
                 out = impl.run(case.source)
                 assert out.kind is OutcomeKind.TRAP, (case.name,
                                                       out.describe())
+
+
+class TestReallocReleasesLikeFree:
+    """``realloc``'s old block goes through ``free``'s bookkeeping: the
+    ``alloc.free`` event, and the revocation sweep on CHERIoT."""
+
+    SOURCE = """
+#include <stdlib.h>
+#include <stdio.h>
+int *stale;
+int main(void) {
+  int *p = malloc(sizeof(int));
+  *p = 7;
+  stale = p;          /* stored before the block moves */
+  int *q = %s;
+  printf("%%d\\n", *stale);
+  free(q);
+  return 0;
+}
+"""
+    REALLOC = SOURCE % "realloc(p, 64 * sizeof(int))"
+    FREE = SOURCE % "(free(p), malloc(64 * sizeof(int)))"
+
+    @pytest.mark.parametrize("impl", ["cheriot-O0", "cheriot-O0-quarantine"])
+    @pytest.mark.parametrize("release", ["realloc", "free"])
+    def test_revocation_clears_stored_capabilities_to_the_old_block(
+            self, impl, release):
+        source = self.REALLOC if release == "realloc" else self.FREE
+        out = by_name(impl).run(source)
+        assert out.kind is OutcomeKind.TRAP, out.describe()
+        assert out.trap is TrapKind.TAG_VIOLATION
+
+    def test_without_revocation_the_stale_capability_still_reads(self):
+        out = by_name("clang-morello-O0").run(self.REALLOC)
+        assert out.kind is OutcomeKind.EXIT and out.exit_status == 0
+        assert out.stdout == "7\n"
+
+    def test_abstract_machine_reports_the_dead_block_and_its_free(self):
+        from repro.obs import EventBus, TraceRecorder
+        bus = EventBus()
+        recorder = TraceRecorder()
+        recorder.attach(bus)
+        out = CERBERUS.run(self.REALLOC, bus=bus)
+        assert out.kind is OutcomeKind.UNDEFINED
+        assert out.ub is UB.ACCESS_DEAD_ALLOCATION
+        events = recorder.events()
+        verdict = [e for e in events if e.kind == "check.ub"][-1]
+        frees = [e for e in events if e.kind == "alloc.free"]
+        assert [e.data["alloc"] for e in frees] == [verdict.data["alloc"]]
