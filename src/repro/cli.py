@@ -196,10 +196,18 @@ def fuzz_main(argv: list[str]) -> int:
                              "reference trace's explaining signature")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-iteration progress output")
+    parser.add_argument("--metrics", action="store_true",
+                        help="print this process's compile-cache layer "
+                             "table after the report")
     _add_engine_flags(parser)
     args = parser.parse_args(argv)
     use_cache = _apply_cache_flag(args)
     evaluator = _apply_evaluator_flag(args)
+
+    def print_metrics() -> None:
+        if args.metrics:
+            from repro.perf import global_cache
+            sys.stdout.write(global_cache().stats.summary())
 
     from repro.fuzz import run_fuzz
     from repro.reporting.tables import render_fuzz_summary
@@ -272,6 +280,7 @@ def fuzz_main(argv: list[str]) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(render_campaign_summary(report), end="")
+        print_metrics()
         return 0 if report.ok else 1
 
     def progress(index: int, report) -> None:
@@ -296,6 +305,7 @@ def fuzz_main(argv: list[str]) -> int:
         budget=budget,
         evaluator=evaluator)
     print(render_fuzz_summary(report), end="")
+    print_metrics()
     return 0 if report.ok else 1
 
 

@@ -98,18 +98,42 @@ class CompiledFunc:
     ``plan`` and ``slot_ids`` are deterministic descriptions of the
     slot structure (op / fused pair / folded region per table start),
     used by tests and ``--dump-core`` -- compiling the same
-    ``CoreFunc`` twice yields identical plans and slot ids.
+    ``CoreFunc`` twice yields identical plans and slot ids.  Running a
+    program never reads them, so both are derived from the slot list
+    the first time they are read.
     """
 
-    __slots__ = ("name", "core", "table", "entry", "plan", "slot_ids")
+    __slots__ = ("name", "core", "table", "entry", "_slots", "_plan")
 
-    def __init__(self, name: str, core: CoreFunc, table, plan) -> None:
+    def __init__(self, name: str, core: CoreFunc, table, slots) -> None:
         self.name = name
         self.core = core
         self.table = table
         self.entry = table[0] if table else None
-        self.plan = plan
-        self.slot_ids = tuple(_slot_id(name, entry) for entry in plan)
+        self._slots = slots
+        self._plan = None
+
+    @property
+    def plan(self) -> tuple:
+        if self._plan is None:
+            self._plan = tuple(_plan_entry(slot, self.core.ops)
+                               for slot in self._slots)
+        return self._plan
+
+    @property
+    def slot_ids(self) -> tuple[str, ...]:
+        return tuple(_slot_id(self.name, entry) for entry in self.plan)
+
+
+def _plan_entry(slot: tuple, ops) -> tuple:
+    kind, start = slot[0], slot[1]
+    if kind == "fold":
+        end, charges, mv = slot[2]
+        return ("fold", start, end, charges,
+                f"{mv.ival.value()} : {mv.ctype}")
+    if kind == "fused":
+        return ("fused", start, slot[2])
+    return ("op", start, ops[start].name)
 
 
 def _slot_id(fname: str, entry: tuple) -> str:
@@ -738,19 +762,7 @@ def _compile_func(func: CoreFunc, scratch) -> CompiledFunc:
         else:
             nxt = table[start + 1] if start + 1 < n else None
             table[start] = _op_closure(ops[start], start, nxt, table)
-
-    plan = []
-    for slot in slots:
-        kind, start = slot[0], slot[1]
-        if kind == "fold":
-            end, charges, mv = slot[2]
-            plan.append(("fold", start, end, charges,
-                         f"{mv.ival.value()} : {mv.ctype}"))
-        elif kind == "fused":
-            plan.append(("fused", start, slot[2]))
-        else:
-            plan.append(("op", start, ops[start].name))
-    return CompiledFunc(func.name, func, table, tuple(plan))
+    return CompiledFunc(func.name, func, table, slots)
 
 
 def compile_core(program: CoreProgram, impl=None) -> CompiledProgram:

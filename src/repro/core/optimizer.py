@@ -34,6 +34,7 @@ reasoning, which is exactly what the AST form expresses.
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import is_
 
 from repro.core.cast import (
     Assign, Binary, Block, Call, Cast, Comma, Conditional, Declarator,
@@ -72,88 +73,117 @@ def optimize_program(program: Program, layout: TargetLayout,
 
 
 def _map_functions(program: Program, fn) -> Program:
-    return replace(program, functions=tuple(
-        fn(f) if f.body is not None else f for f in program.functions))
+    return _rebuild(program, functions=_map_all(
+        program.functions, lambda f: fn(f) if f.body is not None else f))
 
 
 # ---------------------------------------------------------------------------
 # Generic AST walking
+#
+# Every rewrite copies on change: a node (or a tuple of children) is
+# rebuilt only when some child's identity changed, so a pass with
+# nothing to rewrite returns its input object and unchanged subtrees
+# are shared between the input and the output.  That sharing is safe
+# because AST nodes are frozen -- nothing downstream mutates them.
 # ---------------------------------------------------------------------------
+
+
+def _rebuild(node, **children):
+    """``replace(node, **children)``, or ``node`` itself when every
+    child is (by identity) the one it already holds."""
+    for name, child in children.items():
+        if child is not getattr(node, name):
+            return replace(node, **children)
+    return node
+
+
+def _tuple_of(new, old: tuple) -> tuple:
+    """``tuple(new)``, or ``old`` itself when the two hold the same
+    elements (by identity)."""
+    new = tuple(new)
+    if len(new) == len(old) and all(map(is_, new, old)):
+        return old
+    return new
+
+
+def _map_all(items: tuple, fn) -> tuple:
+    return _tuple_of(map(fn, items), items)
 
 
 def _map_expr(expr: Expr | None, fn) -> Expr | None:
     """Bottom-up expression rewrite."""
     if expr is None:
         return None
-    if isinstance(expr, Unary):
-        expr = replace(expr, operand=_map_expr(expr.operand, fn))
-    elif isinstance(expr, Binary):
-        expr = replace(expr, lhs=_map_expr(expr.lhs, fn),
-                       rhs=_map_expr(expr.rhs, fn))
+    if isinstance(expr, (Unary, Cast)):
+        expr = _rebuild(expr, operand=_map_expr(expr.operand, fn))
+    elif isinstance(expr, (Binary, Comma)):
+        expr = _rebuild(expr, lhs=_map_expr(expr.lhs, fn),
+                        rhs=_map_expr(expr.rhs, fn))
     elif isinstance(expr, Assign):
-        expr = replace(expr, target=_map_expr(expr.target, fn),
-                       value=_map_expr(expr.value, fn))
+        expr = _rebuild(expr, target=_map_expr(expr.target, fn),
+                        value=_map_expr(expr.value, fn))
     elif isinstance(expr, Conditional):
-        expr = replace(expr, cond=_map_expr(expr.cond, fn),
-                       then=_map_expr(expr.then, fn),
-                       other=_map_expr(expr.other, fn))
-    elif isinstance(expr, Cast):
-        expr = replace(expr, operand=_map_expr(expr.operand, fn))
+        expr = _rebuild(expr, cond=_map_expr(expr.cond, fn),
+                        then=_map_expr(expr.then, fn),
+                        other=_map_expr(expr.other, fn))
     elif isinstance(expr, Call):
-        expr = replace(expr, func=_map_expr(expr.func, fn),
-                       args=tuple(_map_expr(a, fn) for a in expr.args))
+        expr = _rebuild(expr, func=_map_expr(expr.func, fn),
+                        args=_map_all(expr.args,
+                                      lambda a: _map_expr(a, fn)))
     elif isinstance(expr, Index):
-        expr = replace(expr, base=_map_expr(expr.base, fn),
-                       index=_map_expr(expr.index, fn))
+        expr = _rebuild(expr, base=_map_expr(expr.base, fn),
+                        index=_map_expr(expr.index, fn))
     elif isinstance(expr, Member):
-        expr = replace(expr, base=_map_expr(expr.base, fn))
-    elif isinstance(expr, Comma):
-        expr = replace(expr, lhs=_map_expr(expr.lhs, fn),
-                       rhs=_map_expr(expr.rhs, fn))
+        expr = _rebuild(expr, base=_map_expr(expr.base, fn))
     elif isinstance(expr, InitList):
-        expr = replace(expr, items=tuple(_map_expr(i, fn)
-                                         for i in expr.items))
+        expr = _rebuild(expr, items=_map_all(
+            expr.items, lambda i: _map_expr(i, fn)))
     elif isinstance(expr, VaArg):
-        expr = replace(expr, ap=_map_expr(expr.ap, fn))
+        expr = _rebuild(expr, ap=_map_expr(expr.ap, fn))
     return fn(expr)
 
 
 def _map_stmt(stmt: Stmt | None, expr_fn, stmt_fn=None) -> Stmt | None:
     if stmt is None:
         return None
+
+    def sub(s: Stmt | None) -> Stmt | None:
+        return _map_stmt(s, expr_fn, stmt_fn)
+
     if isinstance(stmt, ExprStmt):
-        stmt = replace(stmt, expr=_map_expr(stmt.expr, expr_fn))
+        stmt = _rebuild(stmt, expr=_map_expr(stmt.expr, expr_fn))
     elif isinstance(stmt, DeclStmt):
-        stmt = replace(stmt, decls=tuple(
-            replace(d, init=_map_expr(d.init, expr_fn)) for d in stmt.decls))
+        stmt = _rebuild(stmt, decls=_map_all(
+            stmt.decls,
+            lambda d: _rebuild(d, init=_map_expr(d.init, expr_fn))))
     elif isinstance(stmt, Block):
-        stmt = replace(stmt, stmts=tuple(
-            _map_stmt(s, expr_fn, stmt_fn) for s in stmt.stmts))
+        stmt = _rebuild(stmt, stmts=_map_all(stmt.stmts, sub))
     elif isinstance(stmt, If):
-        stmt = replace(stmt, cond=_map_expr(stmt.cond, expr_fn),
-                       then=_map_stmt(stmt.then, expr_fn, stmt_fn),
-                       other=_map_stmt(stmt.other, expr_fn, stmt_fn))
+        stmt = _rebuild(stmt, cond=_map_expr(stmt.cond, expr_fn),
+                        then=sub(stmt.then), other=sub(stmt.other))
     elif isinstance(stmt, While):
-        stmt = replace(stmt, cond=_map_expr(stmt.cond, expr_fn),
-                       body=_map_stmt(stmt.body, expr_fn, stmt_fn))
+        stmt = _rebuild(stmt, cond=_map_expr(stmt.cond, expr_fn),
+                        body=sub(stmt.body))
     elif isinstance(stmt, For):
-        stmt = replace(stmt, init=_map_stmt(stmt.init, expr_fn, stmt_fn),
-                       cond=_map_expr(stmt.cond, expr_fn),
-                       step=_map_expr(stmt.step, expr_fn),
-                       body=_map_stmt(stmt.body, expr_fn, stmt_fn))
+        stmt = _rebuild(stmt, init=sub(stmt.init),
+                        cond=_map_expr(stmt.cond, expr_fn),
+                        step=_map_expr(stmt.step, expr_fn),
+                        body=sub(stmt.body))
     elif isinstance(stmt, Switch):
-        stmt = replace(stmt, cond=_map_expr(stmt.cond, expr_fn),
-                       stmts=tuple(_map_stmt(s, expr_fn, stmt_fn)
-                                   for s in stmt.stmts))
+        stmt = _rebuild(stmt, cond=_map_expr(stmt.cond, expr_fn),
+                        stmts=_map_all(stmt.stmts, sub))
     elif isinstance(stmt, Return):
-        stmt = replace(stmt, value=_map_expr(stmt.value, expr_fn))
+        stmt = _rebuild(stmt, value=_map_expr(stmt.value, expr_fn))
     if stmt_fn is not None:
         stmt = stmt_fn(stmt)
     return stmt
 
 
 def _walk_exprs(node) -> list[Expr]:
-    """Flat list of all expressions under a statement/expression."""
+    """Flat list of all expressions under a statement/expression.
+
+    Read-only: the collecting callback returns every node unchanged,
+    so the copy-on-change walkers rebuild nothing."""
     found: list[Expr] = []
 
     def collect(e: Expr) -> Expr:
@@ -176,7 +206,7 @@ def _fold_function(fdef: FuncDef, layout: TargetLayout) -> FuncDef:
     def fold(expr: Expr) -> Expr:
         return _fold_expr(expr, layout)
 
-    return replace(fdef, body=_map_stmt(fdef.body, fold))
+    return _rebuild(fdef, body=_map_stmt(fdef.body, fold))
 
 
 def _fold_expr(expr: Expr, layout: TargetLayout) -> Expr:
@@ -265,8 +295,8 @@ def _inline_small_calls(program: Program) -> Program:
     def transform(fdef: FuncDef) -> FuncDef:
         if fdef.name != "main":
             return fdef
-        return replace(fdef, body=_map_stmt(fdef.body, lambda e: e,
-                                            inline_stmt))
+        return _rebuild(fdef, body=_map_stmt(fdef.body, lambda e: e,
+                                             inline_stmt))
 
     return _map_functions(program, transform)
 
@@ -368,14 +398,15 @@ def _substitute_and_fold(fdef: FuncDef, layout: TargetLayout) -> FuncDef:
                             env[d.name] = init
                         else:
                             env.pop(d.name, None)
-                    new_decls.append(replace(d, init=init))
-                out.append(replace(s, decls=tuple(new_decls)))
+                    new_decls.append(_rebuild(d, init=init))
+                out.append(_rebuild(s, decls=_tuple_of(new_decls,
+                                                       s.decls)))
             elif isinstance(s, ExprStmt):
                 e = s.expr
                 if isinstance(e, Assign) and not e.op and \
                         isinstance(e.target, Ident):
                     value = rewrite(e.value, env)
-                    out.append(replace(s, expr=replace(e, value=value)))
+                    out.append(_rebuild(s, expr=_rebuild(e, value=value)))
                     name = e.target.name
                     if (name not in address_taken and _is_pure(value)
                             and all_stable(value)):
@@ -384,7 +415,7 @@ def _substitute_and_fold(fdef: FuncDef, layout: TargetLayout) -> FuncDef:
                         env.pop(name, None)
                 else:
                     new_e = rewrite(e, env)
-                    out.append(replace(s, expr=new_e))
+                    out.append(_rebuild(s, expr=new_e))
                     for name in side_effect_targets(new_e):
                         env.pop(name, None)
             elif isinstance(s, (Return, Empty)):
@@ -400,14 +431,10 @@ def _substitute_and_fold(fdef: FuncDef, layout: TargetLayout) -> FuncDef:
                 out.append(_map_stmt_whole(
                     s, lambda x: rewrite(x, safe_env)))
                 env.clear()   # stop propagating past the join
-        return replace(stmt, stmts=tuple(out))
+        return _rebuild(stmt, stmts=_tuple_of(out, stmt.stmts))
 
-    return replace(fdef, body=_map_stmt(fdef.body, lambda e: e,
-                                        process_block))
-
-
-def _subst(expr: Expr, env: dict[str, Expr]) -> Expr:
-    return _map_expr(expr, lambda e: _subst_leaf(e, env))
+    return _rebuild(fdef, body=_map_stmt(fdef.body, lambda e: e,
+                                         process_block))
 
 
 def _names_written_or_declared(stmt: Stmt) -> set[str]:
@@ -465,13 +492,13 @@ def _rewrite_with_env(expr: Expr, env: dict[str, Expr],
             target: Expr = expr.target
         else:
             target = _rewrite_with_env(expr.target, env, layout)
-        return replace(expr, target=target,
-                       value=_rewrite_with_env(expr.value, env, layout))
+        return _rebuild(expr, target=target,
+                        value=_rewrite_with_env(expr.value, env, layout))
     if isinstance(expr, Unary) and expr.op in ("++", "--"):
         if isinstance(expr.operand, Ident):
             return expr
-        return replace(expr, operand=_rewrite_with_env(expr.operand, env,
-                                                       layout))
+        return _rebuild(expr, operand=_rewrite_with_env(expr.operand, env,
+                                                        layout))
     if isinstance(expr, Unary) and expr.op == "&" and \
             isinstance(expr.operand, Ident):
         # &x must keep naming the object, not its value.
@@ -482,38 +509,24 @@ def _rewrite_with_env(expr: Expr, env: dict[str, Expr],
 
     # Rebuild children through this function (so nested assignments keep
     # their targets), then fold/substitute the node itself.
-    if isinstance(expr, Binary):
-        node: Expr = replace(expr,
-                             lhs=_rewrite_with_env(expr.lhs, env, layout),
-                             rhs=_rewrite_with_env(expr.rhs, env, layout))
-    elif isinstance(expr, Unary):
-        node = replace(expr,
-                       operand=_rewrite_with_env(expr.operand, env, layout))
-    elif isinstance(expr, Cast):
-        node = replace(expr,
-                       operand=_rewrite_with_env(expr.operand, env, layout))
+    def sub(e: Expr) -> Expr:
+        return _rewrite_with_env(e, env, layout)
+
+    if isinstance(expr, (Binary, Comma)):
+        node: Expr = _rebuild(expr, lhs=sub(expr.lhs), rhs=sub(expr.rhs))
+    elif isinstance(expr, (Unary, Cast)):
+        node = _rebuild(expr, operand=sub(expr.operand))
     elif isinstance(expr, Conditional):
-        node = replace(expr,
-                       cond=_rewrite_with_env(expr.cond, env, layout),
-                       then=_rewrite_with_env(expr.then, env, layout),
-                       other=_rewrite_with_env(expr.other, env, layout))
+        node = _rebuild(expr, cond=sub(expr.cond), then=sub(expr.then),
+                        other=sub(expr.other))
     elif isinstance(expr, Call):
-        node = replace(expr, args=tuple(
-            _rewrite_with_env(a, env, layout) for a in expr.args))
+        node = _rebuild(expr, args=_map_all(expr.args, sub))
     elif isinstance(expr, Index):
-        node = replace(expr,
-                       base=_rewrite_with_env(expr.base, env, layout),
-                       index=_rewrite_with_env(expr.index, env, layout))
+        node = _rebuild(expr, base=sub(expr.base), index=sub(expr.index))
     elif isinstance(expr, Member):
-        node = replace(expr,
-                       base=_rewrite_with_env(expr.base, env, layout))
-    elif isinstance(expr, Comma):
-        node = replace(expr,
-                       lhs=_rewrite_with_env(expr.lhs, env, layout),
-                       rhs=_rewrite_with_env(expr.rhs, env, layout))
+        node = _rebuild(expr, base=sub(expr.base))
     elif isinstance(expr, InitList):
-        node = replace(expr, items=tuple(
-            _rewrite_with_env(i, env, layout) for i in expr.items))
+        node = _rebuild(expr, items=_map_all(expr.items, sub))
     else:
         node = expr
     return leaf(node)
@@ -523,34 +536,34 @@ def _map_stmt_whole(stmt: Stmt | None, fn) -> Stmt | None:
     """Apply ``fn`` to each complete expression tree in a statement."""
     if stmt is None:
         return None
+
+    def sub(s: Stmt | None) -> Stmt | None:
+        return _map_stmt_whole(s, fn)
+
     if isinstance(stmt, ExprStmt):
-        return replace(stmt, expr=fn(stmt.expr))
+        return _rebuild(stmt, expr=fn(stmt.expr))
     if isinstance(stmt, DeclStmt):
-        return replace(stmt, decls=tuple(
-            replace(d, init=fn(d.init) if d.init is not None else None)
-            for d in stmt.decls))
+        return _rebuild(stmt, decls=_map_all(stmt.decls, lambda d: _rebuild(
+            d, init=fn(d.init) if d.init is not None else None)))
     if isinstance(stmt, Block):
-        return replace(stmt, stmts=tuple(
-            _map_stmt_whole(s, fn) for s in stmt.stmts))
+        return _rebuild(stmt, stmts=_map_all(stmt.stmts, sub))
     if isinstance(stmt, If):
-        return replace(stmt, cond=fn(stmt.cond),
-                       then=_map_stmt_whole(stmt.then, fn),
-                       other=_map_stmt_whole(stmt.other, fn))
+        return _rebuild(stmt, cond=fn(stmt.cond), then=sub(stmt.then),
+                        other=sub(stmt.other))
     if isinstance(stmt, While):
-        return replace(stmt, cond=fn(stmt.cond),
-                       body=_map_stmt_whole(stmt.body, fn))
+        return _rebuild(stmt, cond=fn(stmt.cond), body=sub(stmt.body))
     if isinstance(stmt, For):
-        return replace(stmt, init=_map_stmt_whole(stmt.init, fn),
-                       cond=fn(stmt.cond) if stmt.cond is not None else None,
-                       step=fn(stmt.step) if stmt.step is not None else None,
-                       body=_map_stmt_whole(stmt.body, fn))
+        return _rebuild(
+            stmt, init=sub(stmt.init),
+            cond=fn(stmt.cond) if stmt.cond is not None else None,
+            step=fn(stmt.step) if stmt.step is not None else None,
+            body=sub(stmt.body))
     if isinstance(stmt, Switch):
-        return replace(stmt, cond=fn(stmt.cond),
-                       stmts=tuple(_map_stmt_whole(s, fn)
-                                   for s in stmt.stmts))
+        return _rebuild(stmt, cond=fn(stmt.cond),
+                        stmts=_map_all(stmt.stmts, sub))
     if isinstance(stmt, Return):
-        return replace(stmt, value=fn(stmt.value)
-                       if stmt.value is not None else None)
+        return _rebuild(stmt, value=fn(stmt.value)
+                        if stmt.value is not None else None)
     return stmt
 
 
@@ -608,7 +621,7 @@ def _eliminate_identity_writes(fdef: FuncDef) -> FuncDef:
             return Empty(line=stmt.line)
         return stmt
 
-    return replace(fdef, body=_map_stmt(fdef.body, lambda e: e, clean))
+    return _rebuild(fdef, body=_map_stmt(fdef.body, lambda e: e, clean))
 
 
 def _same_lvalue(a: Expr, b: Expr) -> bool:
@@ -663,7 +676,7 @@ def _loops_to_memcpy(fdef: FuncDef, layout: TargetLayout) -> FuncDef:
                     line=line)
         return ExprStmt(expr=call, line=line)
 
-    return replace(fdef, body=_map_stmt(fdef.body, lambda e: e, rewrite))
+    return _rebuild(fdef, body=_map_stmt(fdef.body, lambda e: e, rewrite))
 
 
 def _match_copy_loop(stmt: Stmt, layout: TargetLayout):
@@ -737,7 +750,7 @@ def _assume_in_bounds(fdef: FuncDef) -> FuncDef:
             return replace(expr, index=IntLit(value=0, line=expr.line))
         return expr
 
-    return replace(fdef, body=_map_stmt(fdef.body, rewrite))
+    return _rebuild(fdef, body=_map_stmt(fdef.body, rewrite))
 
 
 def _walk_stmts(stmt: Stmt | None) -> list[Stmt]:
@@ -782,7 +795,7 @@ def _eliminate_doomed_writes(fdef: FuncDef, level: int,
             return stmt
         return Empty(line=stmt.line)
 
-    return replace(fdef, body=_map_stmt(fdef.body, lambda e: e, clean))
+    return _rebuild(fdef, body=_map_stmt(fdef.body, lambda e: e, clean))
 
 
 def _oob_scalar_store_target(target: Expr) -> str | None:

@@ -152,7 +152,7 @@ def coverage_of(program, impl=None,
     recorder.attach(bus)
     try:
         outcome = impl.run(source, bus=bus, budget=budget,
-                           evaluator="core")
+                           evaluator="core", persist=False)
     except Exception:                        # noqa: BLE001 - fuzz boundary
         outcome = None
     events = recorder.events()

@@ -41,7 +41,7 @@ def capture_trace(source: str,
     recorder = TraceRecorder()
     recorder.attach(bus)
     try:
-        outcome = impl.run(source, bus=bus)
+        outcome = impl.run(source, bus=bus, persist=False)
     except Exception:                        # noqa: BLE001 - fuzz boundary
         outcome = None
     return outcome, recorder

@@ -175,8 +175,10 @@ class ProgramVerdict:
 
 def _safe_run(impl: Implementation, source: str,
               budget=None) -> tuple[Outcome | None, BaseException | None]:
+    # Fuzz programs are one-shot: their compiles stay in memory and
+    # never reach the disk cache (``persist=False``).
     try:
-        return impl.run(source, budget=budget), None
+        return impl.run(source, budget=budget, persist=False), None
     except Exception as exc:                 # noqa: BLE001 - fuzz boundary
         return None, exc
 

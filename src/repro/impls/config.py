@@ -117,7 +117,8 @@ class Implementation:
 
     def run(self, source: str, main: str = "main", *, bus=None,
             use_cache: bool | None = None, budget=None,
-            faults=None, evaluator: str | None = None) -> Outcome:
+            faults=None, evaluator: str | None = None,
+            persist: bool = True) -> Outcome:
         """Compile (parse + modelled optimisation + elaboration) and
         run one program.
 
@@ -129,7 +130,9 @@ class Implementation:
         the run stage (see :meth:`run_compiled`); the compile stage
         additionally honours a fault plan's ``compile_delay`` and
         converts host recursion blow-ups on pathological inputs into
-        structured outcomes.
+        structured outcomes.  ``persist=False`` marks a one-shot
+        program (a fuzz candidate): its compile stays in memory and is
+        never looked up on, or written to, the disk cache.
         """
         if faults is not None and faults.compile_delay is not None:
             import time
@@ -139,9 +142,11 @@ class Implementation:
         try:
             if evaluator == "compiled":
                 program = compile_threaded(self, source,
-                                           use_cache=use_cache)
+                                           use_cache=use_cache,
+                                           persist=persist)
             else:
-                program = compile_core(self, source, use_cache=use_cache)
+                program = compile_core(self, source, use_cache=use_cache,
+                                       persist=persist)
         except (CSyntaxError, CTypeError) as exc:
             return Outcome.frontend_error(str(exc))
         except RecursionError:

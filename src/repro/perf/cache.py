@@ -36,6 +36,12 @@ Two in-memory maps and one disk store:
   process (or a cold pool worker) performs zero frontend compiles for
   sources any previous run compiled.  Rejections are never written to
   disk -- they are cheap to rediscover and memory-cached per process.
+  Only *persistent* requests touch this layer.  A request made with
+  ``persist=False`` -- every fuzz candidate, shrink candidate,
+  coverage probe and evidence trace, which are compiled once and
+  thrown away -- shares the in-memory entry but neither looks up nor
+  publishes on disk, so fuzzing writes nothing to the cache directory.
+  The suite, ``repro run`` and corpus replay persist (the default).
 
 ``CompileCache.stats`` (a :class:`CacheStatsSet`) counts five layers:
 ``parse`` (the memo), ``core`` and ``threaded`` (an entry's slot was
@@ -222,24 +228,29 @@ class CompileCache:
         self._entries.clear()
         self.stats = CacheStatsSet()
 
-    def core(self, impl, source: str):
+    def core(self, impl, source: str, persist: bool = True):
         """Compile + elaborate ``source`` for ``impl``, reusing any
         cached :class:`~repro.core.coreir.CoreProgram` -- from memory
         first, then from the shared disk layer.  Raises
         :class:`CSyntaxError`/:class:`CTypeError` (elaboration errors
-        included) exactly like the uncached frontend, once per key."""
-        key = self.key_for(impl, source)
-        return self._core(impl, source, key, self._entry(key))
+        included) exactly like the uncached frontend, once per key.
 
-    def threaded(self, impl, source: str):
+        ``persist=False`` marks a one-shot request (a fuzz candidate):
+        it shares the in-memory entry but neither looks the key up on
+        disk nor publishes a fresh compile there."""
+        key = self.key_for(impl, source)
+        return self._core(impl, source, key, self._entry(key), persist)
+
+    def threaded(self, impl, source: str, persist: bool = True):
         """Compile + elaborate + thread ``source`` for ``impl``,
         reusing any cached :class:`~repro.core.compile.CompiledProgram`
-        and otherwise threading the entry's Core program."""
+        and otherwise threading the entry's Core program.  ``persist``
+        is as for :meth:`core`."""
         key = self.key_for(impl, source)
         entry = self._entry(key)
         if entry.threaded is None and entry.error is None:
             self.stats.threaded.misses += 1
-            core = self._core(impl, source, key, entry)
+            core = self._core(impl, source, key, entry, persist)
             entry.threaded = compile_threaded_ir(core, impl)
             return entry.threaded
         self.stats.threaded.hits += 1
@@ -257,14 +268,15 @@ class CompileCache:
             self._entries.popitem(last=False)
         return entry
 
-    def _core(self, impl, source: str, key: tuple, entry: _Entry):
+    def _core(self, impl, source: str, key: tuple, entry: _Entry,
+              persist: bool):
         if entry.core is not None or entry.error is not None:
             self.stats.core.hits += 1
             if entry.error is not None:
                 raise entry.error
             return entry.core
         self.stats.core.misses += 1
-        disk = self.active_disk()
+        disk = self.active_disk() if persist else None
         if disk is not None:
             entry.core = disk.load(key)
             if entry.core is not None:
@@ -378,15 +390,18 @@ def _cache_for(use_cache: bool | None) -> CompileCache:
     return _GLOBAL_CACHE if use_cache else CompileCache(disk=None)
 
 
-def compile_core(impl, source: str, use_cache: bool | None = None):
+def compile_core(impl, source: str, use_cache: bool | None = None,
+                 persist: bool = True):
     """Compile + elaborate ``source`` for ``impl`` into a
     :class:`~repro.core.coreir.CoreProgram`; ``use_cache=None`` defers
-    to the process-wide switch."""
-    return _cache_for(use_cache).core(impl, source)
+    to the process-wide switch, ``persist=False`` keeps the compile
+    off disk (see :meth:`CompileCache.core`)."""
+    return _cache_for(use_cache).core(impl, source, persist)
 
 
-def compile_threaded(impl, source: str, use_cache: bool | None = None):
+def compile_threaded(impl, source: str, use_cache: bool | None = None,
+                     persist: bool = True):
     """Compile + elaborate + direct-thread ``source`` for ``impl`` into
-    a :class:`~repro.core.compile.CompiledProgram`; ``use_cache=None``
-    defers to the process-wide switch."""
-    return _cache_for(use_cache).threaded(impl, source)
+    a :class:`~repro.core.compile.CompiledProgram`; ``use_cache`` and
+    ``persist`` are as for :func:`compile_core`."""
+    return _cache_for(use_cache).threaded(impl, source, persist)

@@ -99,8 +99,9 @@ class DiskCache:
         self.directory = pathlib.Path(directory)
 
     def _path_for(self, digest: str) -> pathlib.Path:
-        # Two-level sharding keeps any one directory small during long
-        # fuzz campaigns (every generated program is a distinct key).
+        # Two-level sharding keeps any one directory small however many
+        # programs a long-lived cache accumulates (fuzz candidates are
+        # one-shot and never stored here; see repro.perf.cache).
         return self.directory / digest[:2] / (digest + _SUFFIX)
 
     def load(self, key: tuple):

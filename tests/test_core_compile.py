@@ -386,3 +386,26 @@ class TestPickleFallback:
         pooled = run_suite(CERBERUS, cases, jobs=2, evaluator="compiled")
         assert [r.outcome for r in serial.results] == \
             [r.outcome for r in pooled.results]
+
+
+class TestLazyPlan:
+    """``plan``/``slot_ids`` are listing data: running a program never
+    builds them, and the first read derives them from the slot list."""
+
+    def test_running_builds_no_plan(self):
+        source = "/* lazy plan */\n" + FOLDS_AND_NON_FOLDS
+        outcome = CERBERUS.run(source, evaluator="compiled")
+        assert outcome.exit_status == 14 + 2 + 3
+        compiled = compile_threaded(CERBERUS, source)   # the cached entry
+        funcs = [*compiled.functions.values(), compiled.globals_init]
+        assert all(cf._plan is None for cf in funcs)
+
+    def test_first_read_builds_the_plan_once(self):
+        compiled = fresh_compiled(FOLDS_AND_NON_FOLDS)
+        CompiledEvaluator(compiled, CERBERUS.fresh_model()).run()
+        main = compiled.functions["main"]
+        assert main._plan is None
+        plan = main.plan
+        assert main._plan is plan and main.plan is plan
+        assert any(entry[0] == "fold" for entry in plan)
+        assert len(main.slot_ids) == len(plan)

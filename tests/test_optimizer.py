@@ -246,3 +246,81 @@ int main(void){
 """
         out = by_name("clang-morello-O3").run(src)
         assert out.exit_status == 5
+
+
+class TestCopyOnChange:
+    """Rewrites rebuild a node only when a child changed: a pass with
+    nothing to rewrite returns its input, and unchanged subtrees are
+    shared between a pass's input and output."""
+
+    NOTHING_TO_REWRITE = """
+int total_of(int *p, int n) {
+  int total = 0;
+  for (int i = 0; i < n; i++) {
+    if (p[i] > 0) total += p[i]; else total -= 1;
+  }
+  while (total > 100) { total = total / 2; }
+  return total;
+}
+int main(void) {
+  int a[3] = {1, 2, 3};
+  int *q = &a[1];
+  *q = total_of(a, 3);
+  return total_of(a, 3) + *q;
+}
+"""
+
+    def test_a_pass_with_nothing_to_rewrite_returns_its_input(self):
+        from repro.core import optimizer as O
+        prog = parse_program(self.NOTHING_TO_REWRITE, LAYOUT)
+        passes = (
+            lambda f: O._fold_function(f, LAYOUT),
+            O._eliminate_identity_writes,
+            lambda f: O._loops_to_memcpy(f, LAYOUT),
+            lambda f: O._substitute_and_fold(f, LAYOUT),
+            O._assume_in_bounds,
+            lambda f: O._eliminate_doomed_writes(f, 3, {}),
+        )
+        for fdef in prog.functions:
+            for rewrite in passes:
+                assert rewrite(fdef) is fdef
+        assert optimize_program(prog, LAYOUT, 3) is prog
+
+    def test_a_rewrite_shares_the_untouched_subtrees(self):
+        src = ("int main(void){ int x = 4; int y = x;"
+               " return sizeof(int) * 3; }")
+        prog = parse_program(src, LAYOUT)
+        folded = optimize_program(prog, LAYOUT, 1)
+        assert folded is not prog
+        before, after = main_stmts(prog), main_stmts(folded)
+        assert after[0] is before[0] and after[1] is before[1]
+        assert after[2] is not before[2]
+
+    def test_o3_after_o0_leaves_the_o0_core_unchanged(self):
+        """The parse memo shares one AST across opt levels, and
+        copy-on-change shares its subtrees with every optimised
+        program: optimising must never alter what -O0 elaborates."""
+        from repro.core.coreir import render_core
+        from repro.core.elaborate import elaborate_program
+        from repro.impls import CERBERUS
+        from repro.perf import CompileCache
+        from repro.testsuite.suite import all_cases
+
+        o3 = by_name("clang-morello-O3")
+        assert o3.arch.name == CERBERUS.arch.name   # one parse memo entry
+        cache = CompileCache(disk=None)
+        shared = 0
+        for case in all_cases():
+            try:
+                before = render_core(cache.core(CERBERUS, case.source))
+            except Exception:
+                continue
+            ast = parse_program(case.source, LAYOUT)
+            optimised = optimize_program(ast, LAYOUT, 3)
+            shared += sum(f3 is f0 for f3, f0
+                          in zip(optimised.functions, ast.functions))
+            elaborate_program(optimised)
+            cache.core(o3, case.source)
+            assert render_core(cache.core(CERBERUS, case.source)) == before
+            assert render_core(elaborate_program(ast)) == before, case.name
+        assert shared > 0

@@ -11,13 +11,17 @@ The properties under test:
 * any number of concurrent processes may share one cache directory and
   still produce identical reports;
 * the content address covers every compile axis, so changing e.g. the
-  opt level can never serve a stale program.
+  opt level can never serve a stale program;
+* one-shot programs stay in memory: fuzzing (blind, pooled, guided)
+  neither reads nor writes the directory, while the suite still fills
+  it.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -196,3 +200,78 @@ class TestConcurrentProcesses:
             assert proc.returncode == 0, stderr
         assert outputs[0][0] == outputs[1][0]
         assert len(DiskCache(tmp_path / "shared")) > 0
+
+
+class TestOneShotProgramsStayInMemory:
+    """Fuzz requests are made with ``persist=False``: they share the
+    in-memory entries but never look up or publish on disk."""
+
+    @staticmethod
+    def _fresh_disk(directory):
+        from repro.perf import cache as perf_cache
+        perf_cache.configure_disk_cache(enabled=True,
+                                        directory=str(directory))
+        perf_cache.clear_cache()
+
+    @staticmethod
+    def _pickles(directory) -> list:
+        return sorted(directory.rglob("*.pkl"))
+
+    def test_fuzzing_writes_nothing_and_the_suite_still_persists(
+            self, tmp_path):
+        from repro.fuzz import run_campaign, run_fuzz
+        from repro.impls import ALL_IMPLEMENTATIONS
+        from repro.perf import global_cache
+        from repro.testsuite.compare import compare_implementations
+
+        directory = tmp_path / "cache"
+        self._fresh_disk(directory)
+        run_fuzz(seed=0, iterations=4, shrink_budget=10)
+        assert self._pickles(directory) == []
+        run_fuzz(seed=1, iterations=4, shrink_budget=10, jobs=2)
+        assert self._pickles(directory) == []
+        run_campaign(seed=0, iterations=6, corpus_dir=tmp_path / "corpus")
+        assert self._pickles(directory) == []
+        stats = global_cache().stats
+        assert (stats.disk.hits, stats.disk.misses) == (0, 0)
+        assert stats.compiles_performed > 0
+
+        compare_implementations(ALL_IMPLEMENTATIONS)
+        assert len(self._pickles(directory)) == 188
+        assert len(DiskCache(directory)) == 188
+
+    def test_a_persistent_request_after_a_one_shot_one_shares_memory(
+            self, tmp_path):
+        disk = DiskCache(tmp_path)
+        cache = CompileCache(disk=disk)
+        core = cache.core(CERBERUS, SOURCE, persist=False)
+        assert cache.threaded(CERBERUS, SOURCE, persist=False).core is core
+        assert len(disk) == 0
+        assert cache.core(CERBERUS, SOURCE) is core
+        assert cache.stats.compiles_performed == 1
+        assert (cache.stats.disk.hits, cache.stats.disk.misses) == (0, 0)
+
+    def test_a_one_shot_request_ignores_a_filled_entry_on_disk(
+            self, tmp_path):
+        disk = DiskCache(tmp_path)
+        CompileCache(disk=disk).core(CERBERUS, SOURCE)
+        cache = CompileCache(disk=disk)
+        cache.core(CERBERUS, SOURCE, persist=False)
+        assert cache.stats.compiles_performed == 1
+        assert (cache.stats.disk.hits, cache.stats.disk.misses) == (0, 0)
+
+    def test_fuzz_cli_metrics_report_no_disk_traffic(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+        from repro.perf import cache as perf_cache
+        perf_cache.clear_cache()   # the table is this process's stats
+        directory = tmp_path / "cache"
+        status = main(["fuzz", "--seed", "3", "--iterations", "2",
+                       "--quiet", "--metrics",
+                       "--cache-dir", str(directory)])
+        out = capsys.readouterr().out
+        assert status == 0
+        assert re.search(r"^  disk +0 / +0 ", out, re.MULTILINE), out
+        assert not re.search(r"compiles performed: 0$", out,
+                             re.MULTILINE), out
+        assert self._pickles(directory) == []
