@@ -3,18 +3,20 @@
 
 The repository carries two execution strategies for the same
 semantics: the iterative Core-IR evaluator
-(:mod:`repro.core.coreeval`), the reference, and the direct-threaded
-compiled backend (:mod:`repro.core.compile`, with superinstruction
-fusion and constant folding), the process default.  This gate is what
-keeps the optimised twin observationally equivalent to the reference:
-it renders
+(:mod:`repro.core.coreeval`), the reference, and direct-threaded
+closure dispatch (:mod:`repro.core.compile`, with superinstruction
+fusion and constant folding).  The process default, ``compiled``,
+runs the Core loop behind a run memo and threads nothing -- so on its
+own it would run no closure here.  This gate therefore renders
 
 * the full S5 compliance report (every implementation x every suite
   case), and
 * a fixed-seed fuzz campaign report (default 500 generated programs,
   every divergence classified and minimized),
 
-under *both* evaluators, serially and with a worker pool, and demands
+under three evaluators -- ``core``, the tiered default ``compiled``,
+and ``threaded``, which threads every program and runs it by closure
+dispatch with no memo -- serially and with a worker pool, and demands
 the rendered reports be **byte-identical** to each other and -- where
 one exists -- to the committed golden: ``tests/golden/compliance.txt``
 for the S5 report, ``tests/golden/fuzz_seed0.txt`` /
@@ -47,13 +49,17 @@ import pathlib
 import sys
 import time
 
-from repro.core.coreeval import EVALUATORS
+from repro.core.coreeval import EVALUATORS, THREADED
 from repro.fuzz import run_fuzz
 from repro.impls import ALL_IMPLEMENTATIONS
 from repro.reporting.tables import render_compliance, render_fuzz_summary
 from repro.testsuite.compare import compare_implementations
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
+
+#: Every strategy the gate compares: the reference, the tiered default,
+#: and closure dispatch on every run.
+ARMS = EVALUATORS + (THREADED,)
 
 #: Committed fuzz renderings, by (seed, iterations).
 FUZZ_GOLDENS = {(0, 12): "fuzz_seed0.txt", (0, 500): "fuzz_seed0_500.txt"}
@@ -131,7 +137,8 @@ def bump_override_check(seed: int, iterations: int) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Require byte-identical suite and fuzz reports from "
-                    "the Core and compiled evaluators and the goldens")
+                    "the Core loop, the tiered default, closure dispatch "
+                    "and the goldens")
     parser.add_argument("--seed", type=int, default=0,
                         help="fuzz campaign seed (default: 0)")
     parser.add_argument("--fuzz-iterations", type=int, default=500,
@@ -148,14 +155,14 @@ def main(argv: list[str] | None = None) -> int:
         started = time.monotonic()
         ok &= agree(f"S5 compliance report, {arm}", with_golden(
             "compliance.txt",
-            {e: suite_rendering(e, jobs) for e in EVALUATORS}))
+            {e: suite_rendering(e, jobs) for e in ARMS}))
         ok &= agree(
             f"fuzz report (seed {args.seed}, "
             f"{args.fuzz_iterations} programs), {arm}",
             with_golden(fuzz_golden, {
                 e: fuzz_rendering(e, jobs, args.seed,
                                   args.fuzz_iterations)
-                for e in EVALUATORS}))
+                for e in ARMS}))
         print(f"  [{arm} arm: {time.monotonic() - started:.1f}s]")
     ok &= bump_override_check(args.seed, min(args.fuzz_iterations, 50))
     print("evaluator-differential: "

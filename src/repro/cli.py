@@ -28,7 +28,8 @@ cache (see docs/PERFORMANCE.md).  ``--max-steps/--max-allocations/
 even a nonterminating program ends with a structured
 ``resource_exhausted`` outcome (see docs/ROBUSTNESS.md).
 ``--evaluator {core,compiled}`` selects the execution strategy
-(default: ``compiled``, the direct-threaded closure backend; see
+(default: ``compiled``, which is tiered: a run memo serves identical
+deterministic repeats and every other run takes the Core loop; see
 docs/PERFORMANCE.md) and ``--dump-core`` prints the elaborated listing
 -- with fold/fuse annotations under ``compiled`` -- instead of running.
 """
@@ -61,11 +62,14 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--evaluator",
                         choices=EVALUATORS,
                         default=None,
-                        help="execution strategy: the iterative Core-IR "
-                             "evaluator or the direct-threaded compiled "
-                             "backend (default: compiled; the two are "
-                             "held byte-identical by the differential "
-                             "gate)")
+                        help="execution strategy: core, the iterative "
+                             "Core-IR evaluator, which executes every run; "
+                             "or compiled (the default), which is tiered: "
+                             "identical deterministic runs are served "
+                             "from a run memo and every other run takes "
+                             "the Core loop (held byte-identical to core "
+                             "and to closure dispatch by the "
+                             "differential gate)")
     parser.add_argument("--allocator",
                         choices=("bump", "freelist", "quarantine"),
                         default=None,
@@ -416,7 +420,7 @@ def trace_main(argv: list[str]) -> int:
                         choices=EVALUATORS,
                         default=None,
                         help="execution strategy (default: compiled; "
-                             "traced compiled runs dispatch through the "
+                             "traced runs always dispatch through the "
                              "Core loop so every event carries the Core "
                              "op id that produced it)")
     args = parser.parse_args(argv)

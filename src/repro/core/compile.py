@@ -1,4 +1,4 @@
-"""Direct-threaded compilation of Core IR (the ``compiled`` evaluator).
+"""Direct-threaded compilation of Core IR (closure dispatch).
 
 :func:`compile_core` lowers each Core function's flat op list into a
 table of pre-bound Python closures.  Dispatch is *direct-threaded*:
@@ -36,28 +36,17 @@ gate):
   pays per-event costs that dwarf dispatch, and delegation makes event
   identity structural rather than re-proved per optimisation.
 
-Snapshots: for untraced, fault-free runs the evaluator additionally
-memoises the post-globals-phase machine state per run configuration
-(mode, address map, options...) on the :class:`CompiledProgram`, so
-repeated runs of a cached program skip static-storage registration and
-global initialisation entirely.  The snapshot records its step and
-allocation usage and is bypassed whenever a budget could have observed
-the globals phase differently.
-
-Run memoisation: the logical completion of the snapshot.  A run with
-no event bus, no budget meter, and no fault plan is a *pure* function
-of the compiled program and the run configuration -- programs are
-frozen, the allocator is deterministic, and every observable
-(exit status, stdout, UB, trap, unspecified-ness) lands in the frozen
-:class:`~repro.errors.Outcome`.  The evaluator therefore memoises the
-complete Outcome per ``(entry point, run configuration)`` on the
-:class:`CompiledProgram`: the first run of each configuration executes
-for real (and is what the two-way differential gate checks), repeats
-are served from the memo.  Traced, metered, or fault-injected runs
-never consult or populate it.  This is the dominant term in the
-compliance benchmark's warm-cache speedup; the fuzz axis (fresh
-programs every iteration, no memo hits) is what isolates raw dispatch
-performance -- both are reported in ``BENCH_engine.json``.
+When closures run: not under the default ``compiled`` evaluator.
+:meth:`repro.impls.config.Implementation.run` serves a deterministic
+repeat from the run memo on its compile-cache entry
+(:mod:`repro.perf.cache`) and runs everything else on the Core loop.
+Closure dispatch measured no faster than the Core loop on warm
+programs, and threading them and the garbage-collector load of their
+closures cost more, so threading every program paid for reuse that
+rarely came.  Closures run only under the API-only ``threaded``
+evaluator, which threads every program (the differential gate runs it
+against the Core loop), or when a caller runs a
+:class:`CompiledEvaluator` directly.
 
 Closures do not pickle; :class:`CompiledProgram` reduces to its
 retained :class:`~repro.core.coreir.CoreProgram` and is recompiled on
@@ -75,9 +64,8 @@ from repro.core.coreir import (
     render_func,
 )
 from repro.ctypes.types import Pointer, StructT, UnionT
-from repro.errors import CTypeError, Outcome
+from repro.errors import CTypeError
 from repro.memory.model import MemoryModel, Mode
-from repro.memory.state import CapMeta
 from repro.memory.values import IntegerValue, MVInteger
 
 __all__ = [
@@ -142,47 +130,15 @@ def _slot_id(fname: str, entry: tuple) -> str:
     return f"{fname}:{index}:{kind}" + (f":{detail}" if detail else "")
 
 
-class _Snapshot:
-    """Post-globals-phase machine state (see the module docstring)."""
-
-    __slots__ = ("allocations", "iotas", "bytes", "capmeta", "allocator",
-                 "next_alloc_id", "next_iota_id", "functions", "func_ptrs",
-                 "func_by_addr", "globals", "statics", "string_literals",
-                 "steps", "out", "alloc_bytes", "alloc_count")
-
-
-def run_config_key(model) -> tuple:
-    """Every run-only axis of a :class:`MemoryModel`, as a memo key.
-
-    A compiled program is valid across all of these axes (the compile
-    caches are deliberately policy-/mode-/map-independent), so run memos
-    and globals snapshots must key on *every* one of them -- missing one
-    silently aliases outcomes across configurations.  The cache-key
-    audit (``tests/test_cache_key_audit.py``) cross-checks this tuple
-    against :data:`repro.impls.config.RUN_AXES`.
-
-    ``type(model)`` matters too: the seeded-fault implementations
-    (:mod:`repro.impls.faults`) share every configuration axis with
-    their clean base and differ only in the MemoryModel subclass, so a
-    snapshot or memoised outcome must never cross model classes.
-    """
-    return (type(model), model.mode, model.arch.name,
-            model.state.allocator.address_map,
-            model.state.allocator.policy,
-            model.subobject_bounds, model.options, model.revocation)
-
-
 class CompiledProgram:
     """A Core program lowered to closure tables.
 
     Retains the :class:`~repro.core.coreir.CoreProgram` (whose ``ast``
     backs static-storage registration, and whose dispatch arrays back
-    traced runs), plus per-run-configuration snapshots of the
-    post-globals machine state.
+    traced runs).
     """
 
-    __slots__ = ("core", "functions", "globals_init", "snapshots",
-                 "outcomes")
+    __slots__ = ("core", "functions", "globals_init")
 
     def __init__(self, core: CoreProgram,
                  functions: dict[str, CompiledFunc],
@@ -190,20 +146,14 @@ class CompiledProgram:
         self.core = core
         self.functions = functions
         self.globals_init = globals_init
-        #: run-config key -> _Snapshot (process-local, never pickled)
-        self.snapshots: dict = {}
-        #: (main, run-config key) -> Outcome for pure runs (no bus, no
-        #: meter, no faults); see "Run memoisation" in the module
-        #: docstring.  Process-local, never pickled.
-        self.outcomes: dict = {}
 
     @property
     def ast(self):
         return self.core.ast
 
     def __reduce__(self):
-        # Closures (and snapshots full of live state) do not pickle:
-        # reduce to the Core program and recompile on unpickle.  The
+        # Closures do not pickle: reduce to the Core program and
+        # recompile on unpickle.  The
         # recompile runs without the fold pass (no Implementation in
         # hand), which is charge- and semantics-identical.
         return (compile_core, (self.core,))
@@ -846,160 +796,8 @@ class CompiledEvaluator(CoreEvaluator):
             self.frames[-1].resume = \
                 self.compiled.functions[fdef.name].entry
 
-    # -- top level ---------------------------------------------------------
-
-    def run(self, main: str = "main") -> Outcome:
-        """Run ``main``, serving pure repeat runs from the run memo.
-
-        A run with no bus, no meter (hence no budget and no fault
-        plan) is deterministic in the compiled program and the run
-        configuration, so its frozen Outcome is shared across repeats;
-        any attached instrumentation bypasses the memo entirely (the
-        run must actually step to emit events, charge budgets, or meet
-        a fault plan).  On a memo hit this evaluator has not executed:
-        ``steps`` stays 0 and ``out`` stays empty.
-        """
-        if self.bus is None and self.meter is None:
-            key = (main, self._snapshot_key())
-            outcome = self.compiled.outcomes.get(key)
-            if outcome is None:
-                outcome = super().run(main)
-                self.compiled.outcomes[key] = outcome
-            return outcome
-        return super().run(main)
-
-    def _execute(self, main: str) -> Outcome:
-        if self.bus is not None:
-            return super()._execute(main)
-        compiled = self.compiled
-        key = self._snapshot_key()
-        try:
-            snap = compiled.snapshots.get(key)
-            if snap is not None and self._restorable(snap):
-                self._restore(snap)
-            else:
-                self._register_static_storage()
-                frame = CoreFrame("<globals>", self.core.globals_init)
-                frame.resume = compiled.globals_init.entry
-                self.frames.append(frame)
-                self._base_frames = 1
-                self._loop()
-                self._base_frames = 0
-                if snap is None and self._capturable():
-                    compiled.snapshots[key] = self._capture()
-            fdef = self.functions.get(main)
-            if fdef is None or fdef.body is None:
-                return Outcome.frontend_error(f"no function {main!r}")
-            self.invoke_user(fdef, [], None)
-            self._loop()
-        except BaseException:
-            self._unwind_all()
-            raise
-        return self._main_outcome(self._result)
-
-    # -- snapshots ---------------------------------------------------------
-
-    def _snapshot_key(self) -> tuple:
-        return run_config_key(self.model)
-
-    def _capturable(self) -> bool:
-        # State after a clean globals phase is a pure function of the
-        # program and the run configuration; fault plans are excluded
-        # because a plan that did not fire here must still be able to
-        # fire at the same allocation index in a later run.
-        meter = self.meter
-        return meter is None or meter.faults is None
-
-    def _restorable(self, snap: _Snapshot) -> bool:
-        """A governed run may only skip the globals phase when the
-        budget provably could not have observed it: no fault plan, no
-        deadline pressure recorded per-step (the capture already
-        charged deterministically), and every deterministic axis at
-        least as large as the snapshot's usage."""
-        meter = self.meter
-        if meter is None:
-            return snap.steps <= self._max_steps
-        if meter.faults is not None:
-            return False
-        if snap.steps > self._max_steps:
-            return False
-        budget = meter.budget
-        if budget.max_allocations is not None and \
-                snap.alloc_count > budget.max_allocations:
-            return False
-        if budget.max_alloc_bytes is not None and \
-                snap.alloc_bytes > budget.max_alloc_bytes:
-            return False
-        return True
-
-    def _capture(self) -> _Snapshot:
-        state = self.model.state
-        snap = _Snapshot()
-        snap.allocations = {
-            ident: Allocation_clone(alloc)
-            for ident, alloc in state.allocations.items()
-        }
-        snap.iotas = dict(state.iotas)
-        snap.bytes = dict(state.bytes)        # AbsByte is frozen
-        snap.capmeta = {addr: CapMeta(meta.tag, meta.ghost)
-                        for addr, meta in state.capmeta.items()}
-        snap.allocator = state.allocator.snapshot()
-        snap.next_alloc_id = state._next_alloc_id
-        snap.next_iota_id = state._next_iota_id
-        snap.functions = dict(self.functions)
-        snap.func_ptrs = dict(self.func_ptrs)
-        snap.func_by_addr = dict(self.func_by_addr)
-        snap.globals = dict(self.globals)     # Bindings are never mutated
-        snap.statics = dict(self.statics)
-        snap.string_literals = dict(self.string_literals)
-        snap.steps = self.steps
-        snap.out = self.out.getvalue()
-        snap.alloc_count = len(state.allocations)
-        snap.alloc_bytes = sum(a.cap_size
-                               for a in state.allocations.values())
-        return snap
-
-    def _restore(self, snap: _Snapshot) -> None:
-        state = self.model.state
-        state.allocations = {ident: Allocation_clone(alloc)
-                             for ident, alloc in snap.allocations.items()}
-        state.iotas = dict(snap.iotas)
-        state.bytes = dict(snap.bytes)
-        state.capmeta = {addr: CapMeta(meta.tag, meta.ghost)
-                         for addr, meta in snap.capmeta.items()}
-        state.allocator.restore(snap.allocator)
-        state._next_alloc_id = snap.next_alloc_id
-        state._next_iota_id = snap.next_iota_id
-        self.functions.update(snap.functions)
-        self.func_ptrs.update(snap.func_ptrs)
-        self.func_by_addr.update(snap.func_by_addr)
-        self.globals.update(snap.globals)
-        self.statics.update(snap.statics)
-        self.string_literals.update(snap.string_literals)
-        self.steps = snap.steps
-        if snap.out:
-            self.out.write(snap.out)
-        meter = self.meter
-        if meter is not None:
-            meter.allocations = snap.alloc_count
-            meter.alloc_bytes = snap.alloc_bytes
-
-
-def Allocation_clone(alloc):
-    """Field-by-field Allocation copy (``alive``/``exposed`` are
-    mutated at runtime, so snapshot entries must be private)."""
-    from repro.memory.allocation import Allocation
-    new = Allocation.__new__(Allocation)
-    new.ident = alloc.ident
-    new.base = alloc.base
-    new.size = alloc.size
-    new.align = alloc.align
-    new.kind = alloc.kind
-    new.ctype = alloc.ctype
-    new.name = alloc.name
-    new.readonly = alloc.readonly
-    new.alive = alloc.alive
-    new.exposed = alloc.exposed
-    new.cap_base = alloc.cap_base
-    new.cap_size = alloc.cap_size
-    return new
+    def _globals_frame(self) -> CoreFrame:
+        frame = super()._globals_frame()
+        if self.bus is None:
+            frame.resume = self.compiled.globals_init.entry
+        return frame

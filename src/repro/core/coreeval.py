@@ -60,14 +60,24 @@ from repro.memory.values import (
 )
 
 #: The process-wide default evaluation strategy.  ``compiled`` -- the
-#: direct-threaded closure backend (:mod:`repro.core.compile`).  The
-#: two-way differential gate (CI job ``evaluator-differential``) holds
-#: it byte-identical to the Core loop over the full suite and a
-#: 500-program fuzz batch, both also pinned by goldens; ``core`` stays
-#: available as the reference it is judged against.
+#: tiered strategy of :meth:`repro.impls.config.Implementation.run`:
+#: deterministic repeats are served from the run memo and every other
+#: run takes the Core loop.  ``threaded`` (API-only) runs every program
+#: by closure dispatch (:mod:`repro.core.compile`).  The differential
+#: gate (CI job ``evaluator-differential``) holds both byte-identical
+#: to the Core loop over the full suite and a 500-program fuzz batch,
+#: all also pinned by goldens; ``core`` stays available as the
+#: reference they are judged against.
 _DEFAULT_EVALUATOR = "compiled"
 
+#: The strategies offered on the command line.
 EVALUATORS = ("core", "compiled")
+
+#: The differential gate's closure-dispatch arm: thread every program
+#: and run it by direct-threaded dispatch, with no tiering and no run
+#: memo.  Accepted wherever an evaluator name is, but not offered on
+#: the command line.
+THREADED = "threaded"
 
 #: The default evaluation step budget: the executable semantics is a
 #: test oracle for small programs, so runaway loops indicate a broken
@@ -84,14 +94,19 @@ def set_default_evaluator(name: str) -> None:
     """Select the process-wide default (worker processes do not inherit
     the parent's choice; the engine re-applies it per task)."""
     global _DEFAULT_EVALUATOR
-    if name not in EVALUATORS:
-        raise ValueError(f"unknown evaluator {name!r} "
-                         f"(expected one of {EVALUATORS})")
+    check_evaluator(name)
     _DEFAULT_EVALUATOR = name
 
 
 def default_evaluator() -> str:
     return _DEFAULT_EVALUATOR
+
+
+def check_evaluator(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is an evaluation strategy."""
+    if name not in EVALUATORS and name != THREADED:
+        raise ValueError(f"unknown evaluator {name!r} "
+                         f"(expected one of {EVALUATORS + (THREADED,)})")
 
 
 class CoreFrame:
@@ -236,8 +251,7 @@ class CoreEvaluator:
             # with empty scopes (identifier lookup falls through to the
             # globals map).  A function called from a global
             # initialiser starts at call depth 0.
-            self.frames.append(
-                CoreFrame("<globals>", self.core.globals_init))
+            self.frames.append(self._globals_frame())
             self._base_frames = 1
             self._loop()
             self._base_frames = 0
@@ -250,6 +264,9 @@ class CoreEvaluator:
             self._unwind_all()
             raise
         return self._main_outcome(self._result)
+
+    def _globals_frame(self) -> CoreFrame:
+        return CoreFrame("<globals>", self.core.globals_init)
 
     def _main_outcome(self, result: MemoryValue | None) -> Outcome:
         if isinstance(result, MVUnspecified):

@@ -100,13 +100,6 @@ class FaultyImplementation(Implementation):
 
     model_class: type[MemoryModel] = MemoryModel
 
-    def fresh_model(self, bus=None, meter=None):
-        return self.model_class(self.arch, self.mode, self.address_map,
-                                subobject_bounds=self.subobject_bounds,
-                                options=self.options,
-                                revocation=self.revocation,
-                                bus=bus, meter=meter)
-
 
 def _faulty(name: str, model_class: type[MemoryModel],
             description: str) -> FaultyImplementation:

@@ -39,7 +39,7 @@ allocations".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.capability.concentrate import CompressionParams
 from repro.errors import MemoryModelError
@@ -116,8 +116,8 @@ class AllocatorPolicy:
     The policy name is the value of the ``allocator`` Implementation
     axis.  It is a *run-only* axis: compiled programs are
     policy-independent (the compile caches are shared across policies),
-    but run memos and snapshots key on it (see
-    :func:`repro.core.compile.run_config_key`).
+    but the run memo keys on it (see
+    :func:`repro.impls.config.run_config_key`).
     """
 
     #: The registry key and the value carried on region events.
@@ -213,16 +213,6 @@ class AllocatorPolicy:
         """A base address to recycle for a heap request, or ``None``."""
         return None
 
-    # -- snapshots (compiled-backend globals memos) -------------------------
-
-    def snapshot(self) -> dict[str, Any]:
-        """Deep-copied policy state for the compiled backend's
-        globals-snapshot machinery (:mod:`repro.core.compile`)."""
-        return {"cursors": dict(self._cursors)}
-
-    def restore(self, snap: dict[str, Any]) -> None:
-        self._cursors.update(snap["cursors"])
-
 
 class BumpAllocator(AllocatorPolicy):
     """The historical default: freed heap regions are never reused.
@@ -269,17 +259,6 @@ class FreeListAllocator(AllocatorPolicy):
                 return bucket.pop(i)
         return None
 
-    def snapshot(self) -> dict[str, Any]:
-        snap = super().snapshot()
-        snap["free"] = {size: list(bases)
-                        for size, bases in self._free.items()}
-        return snap
-
-    def restore(self, snap: dict[str, Any]) -> None:
-        super().restore(snap)
-        self._free = {size: list(bases)
-                      for size, bases in snap["free"].items()}
-
 
 class QuarantineAllocator(FreeListAllocator):
     """Free-list reuse delayed by a bounded FIFO quarantine.
@@ -314,15 +293,6 @@ class QuarantineAllocator(FreeListAllocator):
         while len(self._quarantine) > QUARANTINE_CAPACITY:
             size, base = self._quarantine.pop(0)
             self._free.setdefault(size, []).append(base)
-
-    def snapshot(self) -> dict[str, Any]:
-        snap = super().snapshot()
-        snap["quarantine"] = list(self._quarantine)
-        return snap
-
-    def restore(self, snap: dict[str, Any]) -> None:
-        super().restore(snap)
-        self._quarantine = list(snap["quarantine"])
 
 
 #: The ``allocator`` axis registry: policy name -> class.

@@ -9,7 +9,8 @@ exploit:
   subobject_bounds, options)`` -- the address map, execution mode and
   allocator policy only matter at *run* time -- so one cache entry per
   such key serves every implementation sharing those axes
-  (:mod:`repro.perf.cache`);
+  (:mod:`repro.perf.cache`), and carries the run memo that serves
+  repeats of a deterministic run;
 * every run is deterministic and isolated (a fresh
   :class:`~repro.memory.model.MemoryModel` per run), so runs can be
   fanned out across worker processes and stitched back together in

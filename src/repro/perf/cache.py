@@ -1,4 +1,4 @@
-"""The compilation cache behind :meth:`Implementation.run`.
+"""The compilation cache and run memo behind :meth:`Implementation.run`.
 
 Compilation -- lexing, parsing, the modelled optimisation passes,
 elaboration to Core and direct threading -- is a pure function of
@@ -23,6 +23,18 @@ Two in-memory maps and one disk store:
   :class:`~repro.core.compile.CompiledProgram` built from it, or the
   frontend or elaboration rejection -- stored once, so a program the
   frontend rejects is rejected once, not once per implementation.
+  The entry also carries the *run memo* of the tiered ``compiled``
+  evaluator (:meth:`CompileCache.tiered`): the Outcome of every
+  deterministic run -- no bus, no fault plan, no deadline -- keyed by
+  (:func:`~repro.impls.config.run_config_key`, ``main``, budget), so
+  an identical repeat (a shrinker re-testing a candidate, a minimised
+  program re-evaluated) neither compiles nor executes.  The memo is
+  bounded per entry (:data:`MEMO_PER_ENTRY`) and evicted with it.
+  Every run the memo does not serve takes the entry's Core program on
+  the Core loop, so the default evaluator threads nothing and pays
+  nothing for closures and their garbage-collector load; the threaded
+  slot is filled only for the API-only ``threaded`` evaluator (the
+  differential gate) and explicit :func:`compile_threaded` calls.
   Threaded programs are closures and so **process-local**: they never
   pickle across the worker pool -- a worker that needs one compiles it
   in-process from the task's source (tasks carry sources, not
@@ -43,12 +55,15 @@ Two in-memory maps and one disk store:
   publishes on disk, so fuzzing writes nothing to the cache directory.
   The suite, ``repro run`` and corpus replay persist (the default).
 
-``CompileCache.stats`` (a :class:`CacheStatsSet`) counts five layers:
+``CompileCache.stats`` (a :class:`CacheStatsSet`) counts six layers:
 ``parse`` (the memo), ``core`` and ``threaded`` (an entry's slot was
-already filled, or held a rejection), ``disk``, and ``compiled``, which
+already filled, or held a rejection), ``disk``, ``compiled``, which
 counts every optimiser run as a miss and never hits -- the optimised
-AST is not kept, since only elaboration reads it.  It stays a layer so
-reports and benchmark traces keep their five columns.
+AST is not kept, since only elaboration reads it; it stays a layer so
+benchmark traces keep their five compile columns -- and ``memo``: runs
+served from the run memo (hits) and runs executed and stored in it
+(misses).  Pool workers report their counts back with every task group,
+and :func:`add_worker_stats` adds them to the global cache's.
 
 Both maps are bounded LRU maps (entries evicted oldest-first), sized
 for a long fuzz campaign without unbounded growth, and are per-process:
@@ -78,6 +93,9 @@ from repro.perf.disk import DiskCache, default_cache_dir
 #: Default entry bound for the in-memory cache layers.
 DEFAULT_MAXSIZE = 4096
 
+#: Bound on the run-memo outcomes one compile entry keeps.
+MEMO_PER_ENTRY = 64
+
 
 @dataclass
 class CacheStats:
@@ -103,12 +121,12 @@ class CacheStatsSet:
     """Per-layer :class:`CacheStats` for one :class:`CompileCache`.
 
     One entry per layer (``parse``/``compiled``/``core``/``threaded``/
-    ``disk``) plus aggregates.  The pre-PR-8 single counter was blind
-    to the core and threaded layers -- the default ``compiled``
-    evaluator never touched it, so warm runs reported a 0.0 hit rate.
+    ``disk``/``memo``) plus aggregates.  ``memo`` counts the run memo:
+    a hit is a run served from it, a miss a run that executed and was
+    stored; runs the memo does not cover count in neither.
     """
 
-    LAYERS = ("parse", "compiled", "core", "threaded", "disk")
+    LAYERS = ("parse", "compiled", "core", "threaded", "disk", "memo")
 
     def __init__(self) -> None:
         self.parse = CacheStats()
@@ -116,9 +134,17 @@ class CacheStatsSet:
         self.core = CacheStats()
         self.threaded = CacheStats()
         self.disk = CacheStats()
+        self.memo = CacheStats()
 
     def layer(self, name: str) -> CacheStats:
         return getattr(self, name)
+
+    def merge(self, other: "CacheStatsSet") -> None:
+        """Add ``other``'s counts (a pool worker's) to these."""
+        for name in self.LAYERS:
+            mine, theirs = self.layer(name), other.layer(name)
+            mine.hits += theirs.hits
+            mine.misses += theirs.misses
 
     @property
     def hits(self) -> int:
@@ -165,11 +191,15 @@ class CacheStatsSet:
 @dataclass
 class _Entry:
     """The artefacts of one compile key, filled lazily: the Core
-    program, its threaded form, or the rejection that stops both."""
+    program, its threaded form, or the rejection that stops both; plus
+    the run memo of the tiered evaluator (see
+    :meth:`CompileCache.tiered`)."""
 
     error: Exception | None = None
     core: object = None
     threaded: object = None
+    #: The run memo: (run configuration, main, budget) -> Outcome.
+    outcomes: dict | None = None
 
 
 class CompileCache:
@@ -211,14 +241,17 @@ class CompileCache:
         return self._disk
 
     def entry_counts(self) -> dict[str, int]:
-        """In-memory parse-memo entries, compile entries, and the
-        compile entries holding a Core or a threaded program."""
+        """In-memory parse-memo entries, compile entries, the compile
+        entries holding a Core or a threaded program, and the outcomes
+        in their run memos."""
         entries = self._entries.values()
         return {"parse": len(self._parsed),
                 "entries": len(self._entries),
                 "core": sum(entry.core is not None for entry in entries),
                 "threaded": sum(entry.threaded is not None
-                                for entry in entries)}
+                                for entry in entries),
+                "memo": sum(len(entry.outcomes) for entry in entries
+                            if entry.outcomes)}
 
     def clear(self) -> None:
         """Drop the in-memory maps and reset stats.  The disk layer is
@@ -247,7 +280,44 @@ class CompileCache:
         and otherwise threading the entry's Core program.  ``persist``
         is as for :meth:`core`."""
         key = self.key_for(impl, source)
+        return self._threaded(impl, source, key, self._entry(key), persist)
+
+    def tiered(self, impl, source: str, memo_key, persist: bool = True):
+        """One run of ``source`` under ``impl`` by the tiered
+        ``compiled`` evaluator (:meth:`Implementation.run
+        <repro.impls.config.Implementation.run>`).
+
+        Returns ``(outcome, None)`` when ``memo_key`` -- given only for
+        a deterministic run -- is in the entry's run memo (a memo hit),
+        and otherwise ``(None, program)`` with the entry's Core
+        program, for the Core loop.  Frontend rejections raise as for
+        :meth:`core`.
+        """
+        key = self.key_for(impl, source)
         entry = self._entry(key)
+        if memo_key is not None and entry.outcomes is not None:
+            outcome = entry.outcomes.get(memo_key)
+            if outcome is not None:
+                self.stats.memo.hits += 1
+                return outcome, None
+        return None, self._core(impl, source, key, entry, persist)
+
+    def memoise(self, impl, source: str, memo_key, outcome) -> None:
+        """Store the outcome of a deterministic run that
+        :meth:`tiered` could not serve.  An outcome cut off by a host
+        limit (``python-*``) depends on the host, so it is not kept."""
+        entry = self._entries.get(self.key_for(impl, source))
+        if entry is None or outcome.limit.startswith("python-"):
+            return
+        if entry.outcomes is None:
+            entry.outcomes = {}
+        elif len(entry.outcomes) >= MEMO_PER_ENTRY:
+            return
+        self.stats.memo.misses += 1
+        entry.outcomes[memo_key] = outcome
+
+    def _threaded(self, impl, source: str, key: tuple, entry: _Entry,
+                  persist: bool):
         if entry.threaded is None and entry.error is None:
             self.stats.threaded.misses += 1
             core = self._core(impl, source, key, entry, persist)
@@ -376,15 +446,22 @@ def _process_disk() -> DiskCache | None:
     return _DISK_INSTANCE
 
 
+def add_worker_stats(stats: CacheStatsSet) -> None:
+    """Count one pool task group's compile-cache stats in the global
+    cache's, so they cover the work of this process's pool workers too
+    (the CLI's ``--metrics`` under ``--jobs N``)."""
+    _GLOBAL_CACHE.stats.merge(stats)
+
+
 def clear_cache() -> None:
     _GLOBAL_CACHE.clear()
 
 
-def _cache_for(use_cache: bool | None) -> CompileCache:
+def cache_for(use_cache: bool | None) -> CompileCache:
     """The global cache, or -- when ``use_cache`` (``None`` = the
     process-wide switch) is off -- a private diskless one, so an
     uncached compile makes no global lookups and returns a program of
-    its own."""
+    its own (and its runs share no memo)."""
     if use_cache is None:
         use_cache = _ENABLED
     return _GLOBAL_CACHE if use_cache else CompileCache(disk=None)
@@ -396,7 +473,7 @@ def compile_core(impl, source: str, use_cache: bool | None = None,
     :class:`~repro.core.coreir.CoreProgram`; ``use_cache=None`` defers
     to the process-wide switch, ``persist=False`` keeps the compile
     off disk (see :meth:`CompileCache.core`)."""
-    return _cache_for(use_cache).core(impl, source, persist)
+    return cache_for(use_cache).core(impl, source, persist)
 
 
 def compile_threaded(impl, source: str, use_cache: bool | None = None,
@@ -404,4 +481,4 @@ def compile_threaded(impl, source: str, use_cache: bool | None = None,
     """Compile + elaborate + direct-thread ``source`` for ``impl`` into
     a :class:`~repro.core.compile.CompiledProgram`; ``use_cache`` and
     ``persist`` are as for :func:`compile_core`."""
-    return _cache_for(use_cache).threaded(impl, source, persist)
+    return cache_for(use_cache).threaded(impl, source, persist)

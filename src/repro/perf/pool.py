@@ -130,17 +130,23 @@ def _run_group(fn, pairs):
     Grouping amortises IPC: one submit/result round-trip carries many
     items.  The fault plan (if any) is consulted per *item index*, so a
     planned kill targets the same logical task regardless of grouping.
-    Returns ``(values, elapsed_seconds)``; the elapsed time feeds the
-    parent's per-item cost estimate for future chunk sizing.
+    Returns ``(values, elapsed_seconds, cache_stats)``: the elapsed time
+    feeds the parent's per-item cost estimate for future chunk sizing,
+    and the group's compile-cache stats are added to the parent's
+    (:func:`repro.perf.cache.add_worker_stats`).
     """
+    from repro.perf.cache import CacheStatsSet, global_cache
     plan = _WORKER_PLAN
     out = []
+    # Count this group only: not the previous groups', nor what a
+    # forked worker inherited from its parent.
+    global_cache().stats = CacheStatsSet()
     started = time.perf_counter()
     for index, item in pairs:
         if plan is not None:
             plan.maybe_kill(index)
         out.append(fn(item))
-    return out, time.perf_counter() - started
+    return out, time.perf_counter() - started, global_cache().stats
 
 
 def _fn_cost_key(fn) -> str:
@@ -235,7 +241,7 @@ def _run_isolated(fn, item, index, fault_plan, task_timeout):
     worker died or timed out.  Used for retries, where isolation keeps
     a persistently-crashing item from poisoning its pool-mates.
     """
-    from repro.perf.cache import disk_cache_config
+    from repro.perf.cache import add_worker_stats, disk_cache_config
     try:
         executor = ProcessPoolExecutor(
             max_workers=1, mp_context=multiprocessing.get_context(),
@@ -261,9 +267,11 @@ def _run_isolated(fn, item, index, fault_plan, task_timeout):
             hung = True
             return None, f"task exceeded its {task_timeout}s deadline"
         try:
-            return future.result()[0][0], None
+            values, _, stats = future.result()
         except _WORKER_DEATH as exc:
             return None, f"worker died: {exc!r}"
+        add_worker_stats(stats)
+        return values[0], None
     finally:
         _teardown(executor, hard=hung)
 
@@ -297,19 +305,21 @@ def _collect(fn, future_groups, task_timeout, workers, results, errors):
     must tear the executor down hard) and whether any worker died (the
     caller must not reuse a possibly-broken persistent pool).
     """
+    from repro.perf.cache import add_worker_stats
     died = False
 
     def settle(future) -> None:
         nonlocal died
         group = future_groups[future]
         try:
-            values, elapsed = future.result()
+            values, elapsed, stats = future.result()
         except _WORKER_DEATH as exc:
             died = True
             for index in group:
                 errors[index] = f"worker died: {exc!r}"
             return
         _record_cost(fn, len(values), elapsed)
+        add_worker_stats(stats)
         for index, value in zip(group, values):
             results[index] = value
 

@@ -29,6 +29,16 @@ def _isolated_disk_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def fresh_global_cache():
+    """The process-wide compile cache (run memo included), emptied
+    before and after the test."""
+    from repro.perf import clear_cache, global_cache
+    clear_cache()
+    yield global_cache()
+    clear_cache()
+
+
+@pytest.fixture
 def amap() -> AddressMap:
     return CERBERUS_MAP
 

@@ -5,7 +5,7 @@ Three layers of pinning:
 * unit tests on the policy objects themselves (bump never reuses,
   freelist recycles LIFO within a size class, quarantine graduates
   FIFO after :data:`~repro.memory.allocator.QUARANTINE_CAPACITY`
-  younger frees, snapshots round-trip);
+  younger frees);
 * end-to-end C programs whose exit status *is* the policy (the
   uintptr_t reuse probe), plus oracle attribution: a bump-vs-freelist
   divergence classifies as ``allocator-policy``, and a divergence the
@@ -171,27 +171,6 @@ def test_quarantine_delays_reuse_until_capacity_exceeded():
     base4, padded4 = blocks[QUARANTINE_CAPACITY]
     alloc.release(footprint(base4, padded4))   # fifth free: oldest leaves
     assert heap(alloc)[0] == blocks[0][0]
-
-
-def test_freelist_snapshot_restores_the_reuse_pool():
-    alloc = fresh("freelist")
-    base, padded = heap(alloc)
-    snap = alloc.snapshot()                # pool empty at this point
-    alloc.release(footprint(base, padded))
-    alloc.restore(snap)
-    assert heap(alloc)[0] != base
-
-
-def test_quarantine_snapshot_roundtrip_is_deep():
-    alloc = fresh("quarantine")
-    for _ in range(3):
-        base, padded = heap(alloc)
-        alloc.release(footprint(base, padded))
-    snap = alloc.snapshot()
-    extra, size = heap(alloc)
-    alloc.release(footprint(extra, size))  # mutates quarantine post-snap
-    alloc.restore(snap)
-    assert alloc.snapshot() == snap
 
 
 # -- end-to-end: exit status is the policy ----------------------------------

@@ -18,12 +18,14 @@ import dataclasses
 import pytest
 
 from repro.capability.cheriot import CHERIOT
-from repro.core.compile import run_config_key
 from repro.impls import (
     COMPILE_AXES, META_AXES, RUN_AXES, CERBERUS, Implementation,
+    with_allocator,
 )
+from repro.impls.config import run_config_key
+from repro.impls.faults import FAULTS
 from repro.impls.registry import CHERIOT_MAP
-from repro.memory.model import Mode
+from repro.memory.model import MemoryModel, Mode
 from repro.memory.options import OOBArithPolicy, SemanticsOptions
 from repro.perf.cache import CompileCache
 from repro.perf.disk import digest_for
@@ -86,13 +88,53 @@ def test_run_axes_never_fragment_the_compile_layers(axis):
 
 @pytest.mark.parametrize("axis", RUN_AXES)
 def test_run_axes_reach_the_run_config_key(axis):
-    base = run_config_key(CERBERUS.fresh_model())
-    alt = run_config_key(variant(axis).fresh_model())
+    base = run_config_key(CERBERUS)
+    alt = run_config_key(variant(axis))
     assert alt != base, (
-        f"run axis {axis!r} does not reach run_config_key: a snapshot "
-        f"or run memo could be replayed under the wrong configuration")
+        f"run axis {axis!r} does not reach run_config_key: the run "
+        f"memo could replay an outcome under the wrong configuration")
 
 
 def test_run_config_key_is_stable_for_equal_configurations():
-    assert run_config_key(CERBERUS.fresh_model()) \
-        == run_config_key(CERBERUS.fresh_model())
+    assert run_config_key(CERBERUS) \
+        == run_config_key(dataclasses.replace(CERBERUS))
+
+
+def test_run_config_key_is_the_model_class_then_every_run_axis():
+    """The memo key's run part is derived from RUN_AXES -- one value
+    per axis, in order, after the model class -- so a new run axis
+    reaches the memo without anyone editing the key."""
+    for impl in (CERBERUS, variant("allocator"), *FAULTS.values()):
+        assert run_config_key(impl) == (
+            type(impl.fresh_model()),
+            *(getattr(impl, axis) for axis in RUN_AXES))
+    assert run_config_key(CERBERUS)[0] is MemoryModel
+
+
+@pytest.mark.parametrize("policy", ("bump", "freelist", "quarantine"))
+def test_the_run_config_key_names_the_policy_runs_use(policy):
+    """Every implementation -- seeded-fault ones too -- builds the
+    allocator policy its ``allocator`` axis (and so its memo key)
+    names."""
+    for base in (CERBERUS, *FAULTS.values()):
+        impl = with_allocator(base, policy)
+        model = impl.fresh_model()
+        assert type(model) is run_config_key(impl)[0]
+        assert model.state.allocator.policy == policy, impl.name
+
+
+def test_compile_axes_stay_out_of_the_run_config_key():
+    # The memo lives on a compile-cache entry, whose key fixes them.
+    for axis in COMPILE_AXES:
+        assert run_config_key(variant(axis)) == run_config_key(CERBERUS)
+
+
+@pytest.mark.parametrize("axis", RUN_AXES)
+def test_no_memo_hit_crosses_a_run_axis(axis, fresh_global_cache):
+    """End to end: a memoised run under CERBERUS never serves the same
+    program under a variant that differs on one run axis."""
+    CERBERUS.run(SOURCE)
+    CERBERUS.run(SOURCE)            # a hit: the memo is live
+    variant(axis).run(SOURCE)
+    memo = fresh_global_cache.stats.memo
+    assert (memo.hits, memo.misses) == (1, 2), axis

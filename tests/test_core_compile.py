@@ -1,8 +1,11 @@
 """The direct-threaded compiled backend (``repro.core.compile``).
 
-What justifies making closure dispatch the process default is pinned
-here, alongside the two-way differential harness and the engine
-benchmark's identity checks:
+What keeps closure dispatch a faithful twin of the Core loop is pinned
+here, alongside the differential harness and the engine benchmark's
+identity checks.  The identity tests run threaded programs directly --
+through :func:`~repro.perf.compile_threaded` and
+:class:`CompiledEvaluator`, or the ``threaded`` evaluator -- because
+the default ``compiled`` evaluator threads nothing:
 
 * **Observable identity** -- outcomes, step counts, budget cut-offs,
   and (traced) event streams match the Core evaluator's exactly; the
@@ -19,9 +22,9 @@ benchmark's identity checks:
   refuse to fold and reach the same UB/trap outcome (with the same
   explainer chain) as the unoptimised evaluators; what *does* fold is
   pinned by a golden ``--dump-core`` listing.
-* **The run memo is invisible** -- pure repeat runs are served from
-  the memo, while traced, metered, and fault-injected runs always
-  execute for real.
+* **The run memo and tiering are invisible** -- deterministic repeat
+  runs are served from the memo and every other run takes the Core
+  loop, never closures; every path renders the Core loop's outcome.
 """
 
 from __future__ import annotations
@@ -29,16 +32,18 @@ from __future__ import annotations
 import pathlib
 import pickle
 
+import pytest
+
 from repro.core.compile import (
     CompiledEvaluator, CompiledProgram, render_compiled,
 )
-from repro.core.coreeval import CoreEvaluator
+from repro.core.coreeval import THREADED, CoreEvaluator
 from repro.core.coreir import Jump, JumpIfFalse, JumpIfTrue
 from repro.errors import OutcomeKind
 from repro.impls import CERBERUS, by_name
 from repro.obs import EventBus, TraceRecorder
-from repro.perf import compile_threaded
-from repro.robust import Budget
+from repro.perf import compile_threaded, global_cache
+from repro.robust import Budget, FaultPlan
 from repro.testsuite.suite import all_cases
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -64,7 +69,7 @@ int main(void) {
 
 
 def fresh_compiled(source: str, impl=CERBERUS) -> CompiledProgram:
-    """A private CompiledProgram (cold snapshots/memo) with folds on."""
+    """A private CompiledProgram with folds on."""
     return compile_threaded(impl, source, use_cache=False)
 
 
@@ -107,15 +112,15 @@ class TestObservableIdentity:
             budget = Budget(max_steps=max_steps)
             core = CERBERUS.run(LOOP_SUM, evaluator="core",
                                 use_cache=False, budget=budget)
-            compiled = CERBERUS.run(LOOP_SUM, evaluator="compiled",
+            threaded = CERBERUS.run(LOOP_SUM, evaluator=THREADED,
                                     use_cache=False, budget=budget)
-            assert core == compiled, max_steps
+            assert core == threaded, max_steps
 
     def test_traced_event_streams_identical(self):
         # Traced runs delegate to the Core dispatch loop: every event
         # must carry the same core_op id and step stamp.
         streams = []
-        for evaluator in ("core", "compiled"):
+        for evaluator in ("core", THREADED):
             bus = EventBus()
             recorder = TraceRecorder().attach(bus)
             outcome = CERBERUS.run(FOLDS_AND_NON_FOLDS, bus=bus,
@@ -221,11 +226,11 @@ class TestConstantFolding:
 
     def assert_same_outcome(self, source: str, kind: OutcomeKind):
         core = CERBERUS.run(source, evaluator="core", use_cache=False)
-        compiled = CERBERUS.run(source, evaluator="compiled",
+        threaded = CERBERUS.run(source, evaluator=THREADED,
                                 use_cache=False)
-        assert core == compiled
-        assert compiled.kind is kind
-        return compiled
+        assert core == threaded
+        assert threaded.kind is kind
+        return threaded
 
     def test_pure_arithmetic_folds(self):
         compiled = fresh_compiled(FOLDS_AND_NON_FOLDS)
@@ -251,7 +256,7 @@ int main(void) { int x = INT_MAX + 1; return x != 0; }
         compiled = fresh_compiled(source)
         assert self.binop_stays_unfolded(compiled, "+")
         core = CERBERUS.run(source, evaluator="core", use_cache=False)
-        assert core == CERBERUS.run(source, evaluator="compiled",
+        assert core == CERBERUS.run(source, evaluator=THREADED,
                                     use_cache=False)
 
     def test_oob_capability_arithmetic_never_folds(self):
@@ -264,7 +269,7 @@ int main(void) { int x = INT_MAX + 1; return x != 0; }
             compiled = compile_threaded(impl, source, use_cache=False)
             assert self.binop_stays_unfolded(compiled, "+")
             core = impl.run(source, evaluator="core", use_cache=False)
-            threaded = impl.run(source, evaluator="compiled",
+            threaded = impl.run(source, evaluator=THREADED,
                                 use_cache=False)
             assert core == threaded, impl.name
             assert threaded.kind in (OutcomeKind.UNDEFINED,
@@ -275,7 +280,7 @@ int main(void) { int x = INT_MAX + 1; return x != 0; }
         compiled = fresh_compiled(source)
         assert self.binop_stays_unfolded(compiled, "&")
         core = CERBERUS.run(source, evaluator="core", use_cache=False)
-        assert core == CERBERUS.run(source, evaluator="compiled",
+        assert core == CERBERUS.run(source, evaluator=THREADED,
                                     use_cache=False)
 
     def test_ub_explainer_chain_matches_core(self):
@@ -283,7 +288,7 @@ int main(void) { int x = INT_MAX + 1; return x != 0; }
         # delegate, so the explaining chain is the Core evaluator's.
         from repro.obs import explain
         chains = []
-        for evaluator in ("core", "compiled"):
+        for evaluator in ("core", THREADED):
             bus = EventBus()
             recorder = TraceRecorder().attach(bus)
             outcome = CERBERUS.run("int main(void) { return 1 / 0; }",
@@ -314,76 +319,132 @@ int main(void) { int x = INT_MAX + 1; return x != 0; }
         assert "fold" in printed
 
 
+#: A deterministic budget: memoised, never threaded.
+DEADLINE_FREE = Budget(max_steps=10_000)
+
+
+@pytest.mark.usefixtures("fresh_global_cache")
 class TestRunMemo:
+    """The run memo on the compile-cache entry, seen from
+    :meth:`Implementation.run` (more soundness cases are in
+    ``tests/test_perf_engine.py::TestRunMemoSoundness``)."""
+
     def test_repeat_pure_runs_are_served_from_the_memo(self):
-        compiled = fresh_compiled(LOOP_SUM)
-        first = CompiledEvaluator(compiled, CERBERUS.fresh_model()).run()
-        assert len(compiled.outcomes) == 1
-        second = CompiledEvaluator(compiled, CERBERUS.fresh_model()).run()
+        first = CERBERUS.run(LOOP_SUM)
+        assert global_cache().entry_counts()["memo"] == 1
+        second = CERBERUS.run(LOOP_SUM)
         assert second is first  # the frozen Outcome itself is shared
-        assert len(compiled.outcomes) == 1
+        memo = global_cache().stats.memo
+        assert (memo.hits, memo.misses) == (1, 1)
 
     def test_distinct_run_configs_memoise_separately(self):
-        source = LOOP_SUM
-        compiled_ref = fresh_compiled(source, CERBERUS)
-        ref = CompiledEvaluator(compiled_ref, CERBERUS.fresh_model()).run()
-        hw = CompiledEvaluator(
-            compiled_ref, by_name("clang-morello-O0").fresh_model()).run()
-        assert len(compiled_ref.outcomes) == 2
+        ref = CERBERUS.run(LOOP_SUM)
+        hw = by_name("clang-morello-O0").run(LOOP_SUM)
+        assert global_cache().entry_counts()["memo"] == 2
+        assert global_cache().stats.memo.hits == 0
         assert ref == hw  # this program is mode-independent
 
-    def test_metered_runs_bypass_the_memo(self):
-        compiled = fresh_compiled(LOOP_SUM)
-        CompiledEvaluator(compiled, CERBERUS.fresh_model()).run()
-        assert len(compiled.outcomes) == 1
-        # A governed run must execute for real (its budget could cut
-        # it off) and must not overwrite the pure entry.
-        from repro.robust.budget import BudgetMeter
-        meter = BudgetMeter(Budget(max_steps=7))
-        model = CERBERUS.fresh_model(meter=meter)
-        governed = CompiledEvaluator(compiled, model).run()
+    def test_deadline_budgeted_runs_bypass_the_memo(self):
+        CERBERUS.run(LOOP_SUM)
+        # A deadline reads the wall clock, so the run must execute (and
+        # must not overwrite the deterministic entry).
+        budget = Budget(max_steps=7, deadline=60.0)
+        governed = CERBERUS.run(LOOP_SUM, budget=budget)
         assert governed.kind is OutcomeKind.RESOURCE
-        assert len(compiled.outcomes) == 1
+        assert global_cache().entry_counts()["memo"] == 1
+        assert global_cache().stats.memo.hits == 0
 
     def test_traced_runs_bypass_the_memo(self):
-        compiled = fresh_compiled(LOOP_SUM)
+        CERBERUS.run(LOOP_SUM)
         bus = EventBus()
         recorder = TraceRecorder().attach(bus)
-        model = CERBERUS.fresh_model(bus=bus)
-        outcome = CompiledEvaluator(compiled, model).run()
+        outcome = CERBERUS.run(LOOP_SUM, bus=bus)
         assert outcome.kind is OutcomeKind.EXIT
         assert recorder.seen > 0
-        assert compiled.outcomes == {}
+        memo = global_cache().stats.memo
+        assert (memo.hits, memo.misses) == (0, 1)
 
     def test_uncached_cli_runs_never_share_a_memo(self):
-        # use_cache=False builds a fresh CompiledProgram per run, so
+        # use_cache=False compiles into a private cache per run, so
         # --no-compile-cache implies no run memo either.
-        first = CERBERUS.run(LOOP_SUM, evaluator="compiled",
-                             use_cache=False)
-        second = CERBERUS.run(LOOP_SUM, evaluator="compiled",
-                              use_cache=False)
+        first = CERBERUS.run(LOOP_SUM, use_cache=False)
+        second = CERBERUS.run(LOOP_SUM, use_cache=False)
         assert first == second
         assert first is not second
+
+
+@pytest.mark.usefixtures("fresh_global_cache")
+class TestTiering:
+    """The default evaluator has two tiers, the run memo and the Core
+    loop, and threads nothing -- not even a run the memo cannot serve."""
+
+    DEADLINE = Budget(deadline=60.0)
+
+    def threaded_entries(self) -> int:
+        return global_cache().entry_counts()["threaded"]
+
+    def test_first_and_memoised_runs_never_thread(self):
+        CERBERUS.run(LOOP_SUM)
+        CERBERUS.run(LOOP_SUM)
+        CERBERUS.run(LOOP_SUM, budget=DEADLINE_FREE)
+        by_name("clang-morello-O0").run(LOOP_SUM, budget=self.DEADLINE)
+        assert self.threaded_entries() == 0
+        assert global_cache().stats.threaded.lookups == 0
+
+    def test_repeated_deadline_runs_never_thread(self):
+        CERBERUS.run(LOOP_SUM)
+        first = CERBERUS.run(LOOP_SUM, budget=self.DEADLINE)
+        second = CERBERUS.run(LOOP_SUM, budget=self.DEADLINE)
+        assert self.threaded_entries() == 0
+        assert first == second == CERBERUS.run(LOOP_SUM, evaluator="core")
+
+    def test_repeated_fault_plan_runs_never_thread_and_fire(self):
+        plan = FaultPlan(fail_alloc_index=0)
+        first = CERBERUS.run(LOOP_SUM, faults=plan)
+        second = CERBERUS.run(LOOP_SUM, faults=plan)
+        assert self.threaded_entries() == 0
+        assert first == second
+        assert first.limit == "fault"
+        assert first == CERBERUS.run(LOOP_SUM, faults=plan,
+                                     evaluator="core")
+
+    def test_traced_runs_never_thread(self):
+        for _ in range(2):
+            CERBERUS.run(LOOP_SUM, bus=EventBus(), budget=self.DEADLINE)
+        assert self.threaded_entries() == 0
+
+    def test_every_tier_matches_core_over_the_suite(self):
+        # The tiered default over real programs: the first run, the
+        # memoised repeat, and repeated deadline runs (the Core loop,
+        # unmemoised) all render the Core loop's outcome.
+        for case in all_cases()[:25]:
+            core = CERBERUS.run(case.source, evaluator="core")
+            first = CERBERUS.run(case.source)
+            assert CERBERUS.run(case.source) is first
+            assert core == first, case.name
+            for _ in range(2):
+                governed = CERBERUS.run(case.source, budget=self.DEADLINE)
+                assert core == governed, case.name
+        assert self.threaded_entries() == 0
 
 
 class TestPickleFallback:
     def test_compiled_program_reduces_to_core_and_recompiles(self):
         compiled = fresh_compiled(LOOP_SUM)
-        CompiledEvaluator(compiled, CERBERUS.fresh_model()).run()
+        first = CompiledEvaluator(compiled, CERBERUS.fresh_model()).run()
         clone = pickle.loads(pickle.dumps(compiled))
         assert isinstance(clone, CompiledProgram)
         assert clone.core is not compiled.core  # core pickles by value
-        assert clone.snapshots == {} and clone.outcomes == {}
         assert CompiledEvaluator(clone, CERBERUS.fresh_model()).run() == \
-            compiled.outcomes[next(iter(compiled.outcomes))]
+            first
 
     def test_worker_pool_runs_compiled_evaluator(self):
         # Tasks ship sources, not closures: a spawned/forked worker
-        # compiles locally and must agree with the serial run.
+        # threads locally and must agree with the serial run.
         from repro.testsuite.compare import run_suite
         cases = all_cases()[:8]
-        serial = run_suite(CERBERUS, cases, jobs=1, evaluator="compiled")
-        pooled = run_suite(CERBERUS, cases, jobs=2, evaluator="compiled")
+        serial = run_suite(CERBERUS, cases, jobs=1, evaluator=THREADED)
+        pooled = run_suite(CERBERUS, cases, jobs=2, evaluator=THREADED)
         assert [r.outcome for r in serial.results] == \
             [r.outcome for r in pooled.results]
 
@@ -394,7 +455,7 @@ class TestLazyPlan:
 
     def test_running_builds_no_plan(self):
         source = "/* lazy plan */\n" + FOLDS_AND_NON_FOLDS
-        outcome = CERBERUS.run(source, evaluator="compiled")
+        outcome = CERBERUS.run(source, evaluator=THREADED)
         assert outcome.exit_status == 14 + 2 + 3
         compiled = compile_threaded(CERBERUS, source)   # the cached entry
         funcs = [*compiled.functions.values(), compiled.globals_init]

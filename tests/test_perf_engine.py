@@ -209,7 +209,8 @@ class TestThreadedCacheLayer:
         assert threaded is not core
         assert threaded.core is core  # built from the cached Core
         assert cache.entry_counts() == {"parse": 1, "entries": 1,
-                                        "core": 1, "threaded": 1}
+                                        "core": 1, "threaded": 1,
+                                        "memo": 0}
         assert cache.stats.core.hits == 1
         assert cache.stats.compiles_performed == 1
 
@@ -289,20 +290,135 @@ class TestGridStageAccounting:
                       for layer in ("parse", "compiled", "core",
                                     "threaded", "disk")}
             # 188 compile keys (94 sources x 2 opt levels); O3 reuses
-            # the O0 parse; every other cell hits its threaded entry.
+            # the O0 parse; every other cell hits its Core entry.  Each
+            # cell is the first run of its configuration, so it runs on
+            # the Core loop: nothing is threaded, and every run is
+            # stored in the memo and none is served from it.
             assert counts == {"parse": (94, 94), "compiled": (0, 188),
-                              "core": (0, 188), "threaded": (470, 188),
+                              "core": (470, 188), "threaded": (0, 0),
                               "disk": (0, 188)}
+            assert (stats["memo"]["hits"], stats["memo"]["misses"]) \
+                == (0, 658)
             assert stats["compiles_performed"] == 94
-            # The threaded entries hold their Core programs.
             for case in all_cases():
                 for impl in ALL_IMPLEMENTATIONS:
                     compile_core(impl, case.source)
             after = global_cache().stats.to_dict()
-            assert after["core"]["hits"] == 658
+            assert after["core"]["hits"] == 470 + 658
             assert after["total"]["misses"] == stats["total"]["misses"]
         finally:
             clear_cache()
+
+
+REALLOC_SOURCE = """
+#include <stdlib.h>
+int main(void) {
+  int *p = malloc(sizeof(int));
+  p = realloc(p, 2 * sizeof(int));
+  *p = 3;
+  return *p;
+}
+"""
+
+
+class TestRunMemoSoundness:
+    """The run memo on the compile-cache entry serves a run only when
+    it is deterministic and every input that reaches its outcome
+    matches; a run it cannot serve executes.  The bus, deadline and
+    ``use_cache=False`` cases are in ``tests/test_core_compile.py``
+    (``TestRunMemo``), the run axes in ``tests/test_cache_key_audit.py``."""
+
+    @staticmethod
+    def memo_counts(cache) -> tuple[int, int]:
+        return cache.stats.memo.hits, cache.stats.memo.misses
+
+    def test_no_hit_crosses_a_model_class(self, fresh_global_cache):
+        from repro.impls.faults import FAULTS
+        faulty = FAULTS["realloc-drops-tag"]
+        clean = CLANG_MORELLO_O0.run(REALLOC_SOURCE)
+        buggy = faulty.run(REALLOC_SOURCE)
+        assert clean.exit_status == 3
+        assert buggy != clean
+        assert self.memo_counts(fresh_global_cache) == (0, 2)
+
+    def test_no_hit_crosses_main(self, fresh_global_cache):
+        source = "int other(void) { return 4; }\n" + SOURCE
+        assert CERBERUS.run(source).exit_status == 7
+        assert CERBERUS.run(source, main="other").exit_status == 4
+        assert self.memo_counts(fresh_global_cache) == (0, 2)
+
+    def test_no_hit_crosses_the_budget(self, fresh_global_cache):
+        from repro.errors import OutcomeKind
+        from repro.robust import Budget
+        unlimited = CERBERUS.run(SOURCE)
+        cut = CERBERUS.run(SOURCE, budget=Budget(max_steps=2))
+        roomy = CERBERUS.run(SOURCE, budget=Budget(max_steps=10_000))
+        assert cut.kind is OutcomeKind.RESOURCE
+        assert unlimited == roomy and roomy is not unlimited
+        assert self.memo_counts(fresh_global_cache) == (0, 3)
+        assert CERBERUS.run(SOURCE, budget=Budget(max_steps=2)) is cut
+        assert self.memo_counts(fresh_global_cache) == (1, 3)
+
+    def test_a_fault_plan_after_a_memoised_run_still_fires(
+            self, fresh_global_cache):
+        from repro.robust import FaultPlan
+        CERBERUS.run(SOURCE)
+        CERBERUS.run(SOURCE)
+        assert self.memo_counts(fresh_global_cache) == (1, 1)
+        faulted = CERBERUS.run(SOURCE, faults=FaultPlan(fail_alloc_index=0))
+        assert faulted.limit == "fault"
+        assert self.memo_counts(fresh_global_cache) == (1, 1)
+
+    def test_the_core_evaluator_never_touches_the_memo(
+            self, fresh_global_cache):
+        CERBERUS.run(SOURCE)
+        for _ in range(2):
+            assert CERBERUS.run(SOURCE, evaluator="core").exit_status == 7
+        assert self.memo_counts(fresh_global_cache) == (0, 1)
+        assert fresh_global_cache.entry_counts()["memo"] == 1
+
+    def test_the_memo_is_bounded_and_cleared(self, fresh_global_cache):
+        from repro.perf import clear_cache
+        from repro.perf.cache import MEMO_PER_ENTRY
+        from repro.robust import Budget
+        for steps in range(MEMO_PER_ENTRY + 5):
+            CERBERUS.run(SOURCE, budget=Budget(max_steps=1_000 + steps))
+        assert fresh_global_cache.entry_counts()["memo"] == MEMO_PER_ENTRY
+        clear_cache()
+        assert fresh_global_cache.entry_counts()["memo"] == 0
+
+    def test_the_memo_goes_with_its_evicted_entry(self):
+        from repro.perf.cache import CompileCache
+        from repro.impls.config import run_config_key
+        cache = CompileCache(maxsize=1, disk=None)
+        memo_key = (run_config_key(CERBERUS), "main", None)
+        _, program = cache.tiered(CERBERUS, SOURCE, memo_key)
+        outcome = CERBERUS.run_compiled(program)
+        cache.memoise(CERBERUS, SOURCE, memo_key, outcome)
+        assert cache.tiered(CERBERUS, SOURCE, memo_key)[0] is outcome
+        cache.core(CERBERUS, "int main(void) { return 1; }\n")  # evicts
+        assert cache.entry_counts()["memo"] == 0
+        assert cache.tiered(CERBERUS, SOURCE, memo_key)[0] is None
+
+
+class TestMetricsUnderJobs:
+    def test_worker_compiles_reach_the_metrics_table(self, tmp_path):
+        """``--metrics`` under ``--jobs`` counts what the pool workers
+        compiled, not just the parent's (empty) cache."""
+        import os
+        import subprocess
+        import sys
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "suite", "--impl", "cerberus",
+             "--jobs", "2", "--metrics", "--cache-dir",
+             str(tmp_path / "fresh-cache")],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True,
+            timeout=300, check=False)
+        assert proc.returncode == 0, proc.stdout
+        assert "compiles performed: 94" in proc.stdout
+        assert "  memo " in proc.stdout
 
 
 class TestBenchGateSkipReason:
