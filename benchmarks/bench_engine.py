@@ -40,7 +40,11 @@ Correctness is part of the benchmark: the run **fails (exit 1) if the
 parallel compliance report or the parallel fuzz groups diverge from the
 serial ones, or if any evaluator renders a differing compliance or
 fuzz report**, so CI's benchmark smoke job doubles as a determinism
-gate for the worker pool.  The evaluator axis additionally gates
+gate for the worker pool.  It also exits 1 when a performance or
+compile-count gate fails, but reports the two apart: the entry's
+``deterministic`` is false only on a report mismatch, ``gates_failed``
+names each failed gate, and the last line reads ``OK``,
+``DIVERGENCE`` or ``GATE FAIL``.  The evaluator axis additionally gates
 **compiled >= 2x Core on the serial warm-cache compliance run** (best
 of three timings each).  Read that number with its mechanism in mind:
 warm-cache repeats of a deterministic run are served by the run memo
@@ -403,6 +407,103 @@ def throughput_gate_skip_reason(jobs: int, cores: int | None) -> str:
     return ""
 
 
+def report_mismatches(compare_reports: dict, fuzz_signatures: dict,
+                      warm_reports: dict, evaluator_reports: dict
+                      ) -> list[str]:
+    """The report comparisons that disagreed.
+
+    Each pair of runs must render byte-identical output; a mismatch is
+    non-determinism (or an evaluator disagreement), never a slow run.
+    """
+    pairs = (
+        ("cached compliance report diverges from serial",
+         compare_reports["cached"], compare_reports["serial"]),
+        ("parallel compliance report diverges from serial",
+         compare_reports["parallel"], compare_reports["serial"]),
+        ("parallel fuzz report diverges from serial",
+         fuzz_signatures["parallel"], fuzz_signatures["serial"]),
+        ("warm-started compliance report diverges from cold",
+         warm_reports["warm"], warm_reports["cold"]),
+        ("compiled-evaluator compliance report diverges from the Core "
+         "evaluator's",
+         evaluator_reports["compiled"], evaluator_reports["core"]),
+        ("compiled-evaluator fuzz report diverges from the Core "
+         "evaluator's",
+         evaluator_reports["fuzz_compiled"], evaluator_reports["fuzz_core"]),
+    )
+    return [what for what, got, want in pairs if got != want]
+
+
+def failed_gates(warm: dict, allocator: dict, evaluator: dict, fuzz: dict,
+                 coverage: dict, *, jobs: int, cores: int | None,
+                 programs: int) -> list[tuple[str, str]]:
+    """The performance and compile-count gates that failed, as
+    ``(gate name, message)`` pairs.  No report comparison is here: a
+    gate measures cost, so a miss is ``GATE FAIL``, not divergence."""
+    failed = []
+    # Warm-start gate: applies on every runner -- a
+    # warm-started process must serve every Core program from the
+    # shared disk cache (zero frontend compiles).
+    if warm["compiles_performed"] != 0:
+        failed.append(("warm-start-compiles",
+                       f"warm start performed {warm['compiles_performed']} "
+                       f"compiles (expected 0: every Core program should "
+                       f"come from disk)"))
+    # Allocator-grid gate: the policy axis is run-only, so
+    # the freelist/quarantine grids must add zero frontend compiles
+    # over the bump warm-up -- compile layers are shared across the
+    # whole policy grid.
+    if allocator["policy_grid_extra_compiles"] != 0:
+        failed.append(("allocator-grid-compiles",
+                       f"allocator-policy grid performed "
+                       f"{allocator['policy_grid_extra_compiles']} extra "
+                       f"compiles (expected 0: compile identity is "
+                       f"policy-independent)"))
+    # Evaluator-cost gate: the compiled backend is the process default,
+    # so it must deliver >= 2x over the Core evaluator it is checked
+    # against on the serial warm-cache compliance run (best-of-three
+    # each).
+    if evaluator["speedup_compiled_compliance"] < 2.0:
+        failed.append(("compiled-2x",
+                       f"compiled backend below the 2x compliance gate "
+                       f"({evaluator['compliance_compiled_s']}s vs "
+                       f"{evaluator['compliance_core_s']}s = "
+                       f"{evaluator['speedup_compiled_compliance']}x)"))
+    # Throughput gate: with persistent
+    # warm workers the batched parallel fuzz path must *beat* serial by
+    # 1.5x on a real multi-core box, not merely match it.  On a single
+    # core (or with jobs=1) parallelism cannot win, so the gate only
+    # applies when both the request and the hardware allow it.
+    if not throughput_gate_skip_reason(jobs, cores) and \
+            fuzz["speedup_parallel"] < 1.5:
+        failed.append(("parallel-fuzz-1.5x",
+                       f"parallel fuzz throughput below the 1.5x gate "
+                       f"({fuzz['speedup_parallel']}x with jobs={jobs} "
+                       f"on {cores} cores)"))
+    # Coverage gate: the scheduler exists to reach program
+    # shapes the blind generator does not, so on any real campaign
+    # guided coverage must beat blind by 1.2x distinct Core ops per 1k
+    # programs.  Below the minimum campaign size the comparison is
+    # noise and the entry records why it was skipped.
+    if not coverage_gate_skip_reason(programs) and \
+            coverage["guided_blind_ratio"] < COVERAGE_GATE:
+        failed.append(("coverage",
+                       f"guided coverage below the {COVERAGE_GATE}x gate "
+                       f"({coverage['guided_ops_per_1k']} vs "
+                       f"{coverage['blind_ops_per_1k']} ops/1k programs "
+                       f"= {coverage['guided_blind_ratio']}x)"))
+    return failed
+
+
+def verdict(mismatches: list[str], gates: list[tuple[str, str]]) -> str:
+    """The last line's word: a report mismatch outranks a gate miss."""
+    if mismatches:
+        return "DIVERGENCE"
+    if gates:
+        return "GATE FAIL"
+    return "OK"
+
+
 def append_trajectory(path: pathlib.Path, entry: dict) -> None:
     trajectory = {"schema": SCHEMA_VERSION, "benchmark": "engine",
                   "entries": []}
@@ -459,96 +560,22 @@ def main(argv: list[str] | None = None) -> int:
         shutdown_workers()  # release the warm pool before the dir goes
     configure_disk_cache(enabled=False, directory=None)
 
-    ok = True
-    if compare_reports["cached"] != compare_reports["serial"]:
-        print("FAIL: cached compliance report diverges from serial",
-              file=sys.stderr)
-        ok = False
-    if compare_reports["parallel"] != compare_reports["serial"]:
-        print("FAIL: parallel compliance report diverges from serial",
-              file=sys.stderr)
-        ok = False
-    if fuzz_signatures["parallel"] != fuzz_signatures["serial"]:
-        print("FAIL: parallel fuzz report diverges from serial",
-              file=sys.stderr)
-        ok = False
-    # Warm-start gate (ISSUE 8): applies on every runner -- a
-    # warm-started process must serve every Core program from the
-    # shared disk cache (zero frontend compiles) and render the same
-    # report the cold run did.
-    if warm_reports["warm"] != warm_reports["cold"]:
-        print("FAIL: warm-started compliance report diverges from cold",
-              file=sys.stderr)
-        ok = False
-    if warm_timings["compiles_performed"] != 0:
-        print(f"FAIL: warm start performed "
-              f"{warm_timings['compiles_performed']} compiles "
-              f"(expected 0: every Core program should come from disk)",
-              file=sys.stderr)
-        ok = False
-    # Allocator-grid gate (ISSUE 10): the policy axis is run-only, so
-    # the freelist/quarantine grids must add zero frontend compiles
-    # over the bump warm-up -- compile layers are shared across the
-    # whole policy grid.
-    if allocator_timings["policy_grid_extra_compiles"] != 0:
-        print(f"FAIL: allocator-policy grid performed "
-              f"{allocator_timings['policy_grid_extra_compiles']} extra "
-              f"compiles (expected 0: compile identity is "
-              f"policy-independent)", file=sys.stderr)
-        ok = False
-    if evaluator_reports["compiled"] != evaluator_reports["core"]:
-        print("FAIL: compiled-evaluator compliance report diverges "
-              "from the Core evaluator's", file=sys.stderr)
-        ok = False
-    if evaluator_reports["fuzz_compiled"] != evaluator_reports["fuzz_core"]:
-        print("FAIL: compiled-evaluator fuzz report diverges from the "
-              "Core evaluator's", file=sys.stderr)
-        ok = False
-
-    # Evaluator-cost gate: the compiled backend is the process default,
-    # so it must deliver >= 2x over the Core evaluator it is checked
-    # against on the serial warm-cache compliance run (best-of-three
-    # each).
-    if evaluator_timings["speedup_compiled_compliance"] < 2.0:
-        print(f"FAIL: compiled backend below the 2x compliance gate "
-              f"({evaluator_timings['compliance_compiled_s']}s vs "
-              f"{evaluator_timings['compliance_core_s']}s = "
-              f"{evaluator_timings['speedup_compiled_compliance']}x)",
-              file=sys.stderr)
-        ok = False
-
-    # Throughput gate (ISSUE 4, tightened by ISSUE 8): with persistent
-    # warm workers the batched parallel fuzz path must *beat* serial by
-    # 1.5x on a real multi-core box, not merely match it.  On a single
-    # core (or with jobs=1) parallelism cannot win, so the gate only
-    # applies when both the request and the hardware allow it -- and
-    # when it does not, the entry records why.
-    throughput_gated = jobs >= 2 and (os.cpu_count() or 1) >= 2
+    mismatches = report_mismatches(compare_reports, fuzz_signatures,
+                                   warm_reports, evaluator_reports)
+    for what in mismatches:
+        print(f"FAIL: {what}", file=sys.stderr)
     gate_skipped_reason = throughput_gate_skip_reason(jobs, os.cpu_count())
-    if throughput_gated and fuzz_timings["speedup_parallel"] < 1.5:
-        print(f"FAIL: parallel fuzz throughput below the 1.5x gate "
-              f"({fuzz_timings['speedup_parallel']}x with "
-              f"jobs={jobs} on {os.cpu_count()} cores)",
-              file=sys.stderr)
-        ok = False
+    throughput_gated = not gate_skipped_reason
+    coverage_skipped_reason = coverage_gate_skip_reason(coverage_programs)
+    gates = failed_gates(
+        warm_timings, allocator_timings, evaluator_timings, fuzz_timings,
+        coverage_timings, jobs=jobs, cores=os.cpu_count(),
+        programs=coverage_programs)
+    for _name, message in gates:
+        print(f"FAIL: {message}", file=sys.stderr)
     if gate_skipped_reason:
         print(f"note: parallel-throughput gate skipped "
               f"({gate_skipped_reason})")
-
-    # Coverage gate (ISSUE 9): the scheduler exists to reach program
-    # shapes the blind generator does not, so on any real campaign
-    # guided coverage must beat blind by 1.2x distinct Core ops per 1k
-    # programs.  Below the minimum campaign size the comparison is
-    # noise and the entry records why it was skipped.
-    coverage_skipped_reason = coverage_gate_skip_reason(coverage_programs)
-    if not coverage_skipped_reason and \
-            coverage_timings["guided_blind_ratio"] < COVERAGE_GATE:
-        print(f"FAIL: guided coverage below the {COVERAGE_GATE}x gate "
-              f"({coverage_timings['guided_ops_per_1k']} vs "
-              f"{coverage_timings['blind_ops_per_1k']} ops/1k programs "
-              f"= {coverage_timings['guided_blind_ratio']}x)",
-              file=sys.stderr)
-        ok = False
     if coverage_skipped_reason:
         print(f"note: coverage gate skipped ({coverage_skipped_reason})")
 
@@ -569,7 +596,8 @@ def main(argv: list[str] | None = None) -> int:
         "throughput_gate": throughput_gated,
         "gate_skipped_reason": gate_skipped_reason,
         "coverage_gate_skipped_reason": coverage_skipped_reason,
-        "deterministic": ok,
+        "deterministic": not mismatches,
+        "gates_failed": [name for name, _message in gates],
     }
     output = pathlib.Path(args.output)
     append_trajectory(output, entry)
@@ -610,9 +638,9 @@ def main(argv: list[str] | None = None) -> int:
           f"ops/1k ({coverage_timings['guided_blind_ratio']}x over "
           f"{coverage_timings['programs']} programs, "
           f"{coverage_timings['rounds']} rounds)")
-    print(f"{'OK' if ok else 'DIVERGENCE'}: trajectory entry appended "
-          f"to {output}")
-    return 0 if ok else 1
+    status = verdict(mismatches, gates)
+    print(f"{status}: trajectory entry appended to {output}")
+    return 0 if status == "OK" else 1
 
 
 if __name__ == "__main__":

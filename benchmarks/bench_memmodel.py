@@ -7,8 +7,10 @@ are visible.
 
 Each substrate operation is costed on its own: typed loads and stores
 (abstract and hardware mode, integer and capability, on both capability
-formats), CHERI Concentrate encode/decode, and heap allocate/release
-under each allocator policy.  Every body checks its result, so
+formats), CHERI Concentrate encode/decode, heap allocate/release under
+each allocator policy, and the byte-store paths off the typed fast
+paths (a char-wise pointer copy, a partly overwritten capability, a
+multi-page ``memset``, a function-designator allocation).  Every body checks its result, so
 
     python -m pytest benchmarks/bench_memmodel.py -q --benchmark-disable
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.capability import CHERIOT, MORELLO, CompressedBounds
-from repro.ctypes import ArrayT, IKind, INT, LONG, Pointer
+from repro.ctypes import ArrayT, IKind, INT, LONG, Pointer, UCHAR, UINT
 from repro.impls.registry import CERBERUS_MAP, CHERIOT_MAP, CLANG_MORELLO_MAP
 from repro.memory import (
     ALLOCATOR_POLICIES, IntegerValue, MemoryModel, Mode, MVInteger,
@@ -220,3 +222,71 @@ def test_bench_allocate_release(benchmark, policy):
         assert again == p.address       # LIFO reuse of the freed block
     else:
         assert again != p.address       # bump never, quarantine not yet
+
+
+# ---------------------------------------------------------------------------
+# Byte-store paths the typed round trips above never take
+# ---------------------------------------------------------------------------
+
+
+def _byte_ptr(ptr, offset=0):
+    """``(unsigned char *)ptr + offset`` without the model's checks."""
+    return ptr.with_cap(ptr.cap.with_address(ptr.address + offset))
+
+
+def test_bench_charwise_pointer_copy(benchmark, model):
+    """The S3.5 loop copy: a pointer copied one ``unsigned char`` at a
+    time keeps its provenance (rich bytes, the byte-wise path)."""
+    size = model.arch.capability_size
+    x = model.allocate_object(LONG, AllocKind.STACK, "x")
+    src = model.allocate_object(Pointer(LONG), AllocKind.STACK, "src")
+    dst = model.allocate_object(Pointer(LONG), AllocKind.STACK, "dst")
+    model.store(Pointer(LONG), src, MVPointer(Pointer(LONG), x))
+    src_bytes = [_byte_ptr(src, i) for i in range(size)]
+    dst_bytes = [_byte_ptr(dst, i) for i in range(size)]
+
+    def op():
+        for s, d in zip(src_bytes, dst_bytes):
+            model.store(UCHAR, d, model.load(UCHAR, s))
+        return model.load(Pointer(LONG), dst)
+
+    out = benchmark(op)
+    assert out.ptr.prov == x.prov and out.ptr.address == x.address
+
+
+def test_bench_partly_overwritten_capability(benchmark, model):
+    """A capability store, one byte overwritten, then a reload: the
+    slot is no longer whole, so the load reads byte-wise and the
+    provenance is lost."""
+    x = model.allocate_object(LONG, AllocKind.STACK, "x")
+    slot = model.allocate_object(Pointer(LONG), AllocKind.STACK, "p")
+    value = MVPointer(Pointer(LONG), x)
+    byte = MVInteger(UCHAR, IntegerValue.of_int(0))
+    third = _byte_ptr(slot, 3)
+
+    def op():
+        model.store(Pointer(LONG), slot, value)
+        model.store(UCHAR, third, byte)
+        return model.load(Pointer(LONG), slot)
+
+    out = benchmark(op)
+    assert out.ptr.prov.is_empty
+    assert out.ptr.cap.ghost.tag_unspecified
+
+
+def test_bench_memset_pages(benchmark, model):
+    """``memset`` over a region spanning several 4 KiB pages."""
+    n = 3 * 4096 + 100
+    p = model.allocate_region(n)
+
+    out = benchmark(model.memset, p, 0xAB, n)
+    last = model.load(UCHAR, _byte_ptr(out, n - 1))
+    assert last.ival.value() == 0xAB
+    assert model.load(UINT, p).ival.value() == 0xABABABAB
+
+
+def test_bench_allocate_function(benchmark, model):
+    """A function designator: an allocation plus its sealed-entry code
+    capability, derived from the memoised sentry."""
+    out = benchmark(model.allocate_function, "f")
+    assert out.cap.tag and out.cap.is_sealed and out.cap.length == 16

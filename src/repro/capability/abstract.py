@@ -29,7 +29,8 @@ from repro.capability.otype import OType
 from repro.capability.permissions import Permission, PermissionSet
 
 
-#: Bound on the per-architecture decode memo before it is dropped.
+#: Bound on the per-architecture decode memo, and on each shared
+#: root's derivation memos, before it is dropped.
 _DECODE_MEMO_LIMIT = 4096
 
 
@@ -145,7 +146,21 @@ class Architecture:
     # -- representation bytes --------------------------------------------
 
     def encode(self, cap: "Capability") -> bytes:
-        """The in-memory representation, excluding the out-of-band tag."""
+        """The in-memory representation, excluding the out-of-band tag.
+
+        A pure function of the frozen capability, so it is memoised on
+        the instance: a pointer stored again and again encodes once.
+        A decoded capability is seeded with the bytes it came from (the
+        fields fill the representation exactly, so the two agree).
+        """
+        data = cap.__dict__.get("_encoded_memo")
+        if data is None or cap.arch is not self:
+            data = self._encode(cap)
+            if cap.arch is self:
+                cap.__dict__["_encoded_memo"] = data
+        return data
+
+    def _encode(self, cap: "Capability") -> bytes:
         p = self.compression
         word = cap.address & p.address_mask
         pos = p.address_width
@@ -210,9 +225,11 @@ class Architecture:
                 perm for i, perm in enumerate(self.perm_order)
                 if (perm_bits >> i) & 1)
             memo[perm_bits] = perms
-        return _make_cap(self, address,
-                         CompressedBounds(p, b_field, t_field, internal),
-                         perms, otype, tag, ghost)
+        cap = _make_cap(self, address,
+                        CompressedBounds(p, b_field, t_field, internal),
+                        perms, otype, tag, ghost)
+        cap.__dict__["_encoded_memo"] = data
+        return cap
 
     # -- portability envelope ---------------------------------------------
 
@@ -396,6 +413,62 @@ class Capability:
         cap = _make_cap(self.arch, base, fields_, self.perms, self.otype,
                         tag, self.ghost)
         return cap, exact
+
+    def bounded(self, base: int, length: int) -> "Capability":
+        """``set_bounds(base, length)[0]``, memoised on this capability.
+
+        For the shared allocation roots, which derive one capability per
+        allocation: the derivation (Concentrate encode, monotonicity
+        check) runs once per ``(base, length)``, and every later call
+        builds a fresh capability from the memoised bounds fields, so
+        per-capability memos such as :meth:`passed_checks` stay per
+        capability.
+        """
+        return self._derive("_bounded_memo", base, length, None)
+
+    def sentry(self, base: int, length: int) -> "Capability":
+        """``set_bounds(base, length)[0].sealed_with(OType.sentry())``,
+        memoised on this capability like :meth:`bounded` (the code root's
+        function designators)."""
+        return self._derive("_sentry_memo", base, length, OType.sentry())
+
+    def _derive(self, name: str, base: int, length: int,
+                seal: OType | None) -> "Capability":
+        """The memoised derivation behind :meth:`bounded`/:meth:`sentry`.
+
+        The first derivation of a ``(base, length)`` is returned as is
+        and kept, so a shape seen once costs no more than
+        :meth:`set_bounds`.  On its second use it is compacted: a tagged
+        result differs from this capability only in address, bounds
+        fields and, when sealed, otype, so the memo keeps just the packed
+        bounds fields, the decoded bounds and the encoding under one
+        integer key (a root holds a few hundred on the S5 grid).
+        """
+        memo = self.__dict__.get(name)
+        if memo is None:
+            memo = self.__dict__[name] = {}
+        key = base << 65 | length   # length <= 2**64 < 2**65
+        hit = memo.get(key)
+        if hit is None:
+            cap, _exact = self.set_bounds(base, length)
+            if seal is not None:
+                cap = cap.sealed_with(seal)
+            if cap.tag:
+                if len(memo) >= _DECODE_MEMO_LIMIT:
+                    memo.clear()
+                memo[key] = cap
+            return cap
+        if type(hit) is Capability:
+            hit = memo[key] = (hit.bounds_fields.pack(), hit.decoded(),
+                               self.arch.encode(hit))
+        packed, decoded, encoded = hit
+        cap = _make_cap(
+            self.arch, base,
+            CompressedBounds.unpack(self.arch.compression, packed),
+            self.perms, self.otype if seal is None else seal, True,
+            self.ghost, decoded)
+        cap.__dict__["_encoded_memo"] = encoded
+        return cap
 
     def without_perms(self, *perms: Permission) -> "Capability":
         return self._clone(perms=self.perms.without(*perms))

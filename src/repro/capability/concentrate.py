@@ -271,6 +271,28 @@ class CompressedBounds:
         exact = not (lost_base or lost_top)
         return cls(params, b_field, t_field, True), exact
 
+    def pack(self) -> int:
+        """The B, T and IE fields as one integer: a compact memo value
+        (a shared root keeps one per allocation shape)."""
+        p = self.params
+        return (self.b_field | self.t_field << p.mantissa_width
+                | self.internal_exponent << (p.mantissa_width + p.top_width))
+
+    @classmethod
+    def unpack(cls, params: CompressionParams,
+               word: int) -> "CompressedBounds":
+        """The inverse of :meth:`pack`.  The fields were range-checked
+        when the packed value was built, so they go straight into the
+        instance dictionary."""
+        mw, tw = params.mantissa_width, params.top_width
+        bounds = _new(cls)
+        state = bounds.__dict__
+        state["params"] = params
+        state["b_field"] = word & ((1 << mw) - 1)
+        state["t_field"] = (word >> mw) & ((1 << tw) - 1)
+        state["internal_exponent"] = bool(word >> (mw + tw))
+        return bounds
+
     @classmethod
     def maximal(cls, params: CompressionParams) -> "CompressedBounds":
         """The bounds of the "almighty" capability covering all memory.
@@ -322,3 +344,6 @@ class CompressedBounds:
             return False
         lo, hi = self.representable_limits(current_address)
         return ((new_address - lo) % space) < (hi - lo)
+
+
+_new = object.__new__

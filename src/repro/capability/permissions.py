@@ -113,7 +113,7 @@ class PermissionSet:
 
     def has(self, *perms: Permission) -> bool:
         """True if every one of ``perms`` is granted."""
-        return all(p in self.perms for p in perms)
+        return self.perms.issuperset(perms)
 
     def without(self, *perms: Permission) -> "PermissionSet":
         """Monotonically remove permissions (used by intrinsics, S4.5)."""

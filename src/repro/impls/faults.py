@@ -39,9 +39,7 @@ class MemcpyBytewiseModel(MemoryModel):
     bare-metal runtime class of bug deferred in S5.3)."""
 
     def _raw_copy(self, daddr, saddr, n):
-        snapshot = [self.state.read_byte(saddr + i) for i in range(n)]
-        for i, b in enumerate(snapshot):
-            self.state.write_byte(daddr + i, b)
+        self.state.copy(daddr, saddr, n)
         self.state.taint_capmeta(daddr, n, hardware=True)
 
 
@@ -62,10 +60,7 @@ class MallocUnpaddedModel(MemoryModel):
         self.state.add_allocation(Allocation(
             ident=ident, base=base, size=size, align=alignment,
             kind=AllocKind.HEAP, name=name))
-        for addr in range(base, base + size):
-            self.state.bytes.pop(addr, None)
-        for slot in self.state.cap_slots(base, size):
-            self.state.capmeta.pop(slot, None)
+        self.state.reset_region(base, size)
         # ...so the capability's rounded bounds may exceed it.
         cap, _ = self._data_root.set_bounds(base, size)
         from repro.memory.provenance import Provenance

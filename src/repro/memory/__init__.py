@@ -5,8 +5,9 @@ State is the paper's ``mem_state = A x S x M`` with ``M = B x C``:
 * ``A`` -- allocations (:mod:`repro.memory.allocation`);
 * ``S`` -- PNVI-ae-udi bookkeeping: exposure flags live on allocations,
   symbolic (``iota``) provenances in :class:`~repro.memory.state.MemState`;
-* ``B`` -- an address-indexed dictionary of abstract bytes
-  (:mod:`repro.memory.absbyte`);
+* ``B`` -- an address-indexed map of abstract bytes
+  (:mod:`repro.memory.absbyte`), stored in pages
+  (:mod:`repro.memory.state`);
 * ``C`` -- per-capability-aligned-location tag + two-bit ghost state.
 
 The operational interface -- allocate, kill, load, store, pointer

@@ -8,6 +8,13 @@ unspecified value).  The index records, for bytes of a stored pointer
 representation, *which* byte of the capability this is; the abstraction
 function uses it to check that a pointer read back bytewise was copied
 coherently (a requirement inherited from the PNVI models).
+
+``AbsByte`` is the observable form of a byte, not its storage: the
+byte store (:mod:`repro.memory.state`) keeps plain bytes as values in a
+page, a capability's bytes as values plus one provenance per slot, and
+only the rest as ``AbsByte`` objects.  ``MemState.read_byte`` rebuilds
+the abstract byte on demand (plain ones are the interned
+:meth:`AbsByte.plain` objects).
 """
 
 from __future__ import annotations

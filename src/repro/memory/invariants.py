@@ -53,7 +53,7 @@ def _check_allocation_disjointness(model: MemoryModel) -> None:
 
 def _check_provenance_validity(model: MemoryModel) -> None:
     allocations = model.state.allocations
-    for addr, byte in model.state.bytes.items():
+    for addr, byte in model.state.items():
         if byte.prov.kind is ProvKind.ALLOC and \
                 byte.prov.ident not in allocations:
             raise MemoryModelError(

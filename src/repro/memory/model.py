@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 from repro.capability.abstract import Architecture, Capability
 from repro.capability.ghost import GhostState
-from repro.capability.otype import OType
 from repro.capability.permissions import Permission, PermissionSet
 from repro.ctypes.layout import TargetLayout
 from repro.ctypes.types import (
@@ -75,8 +74,9 @@ if TYPE_CHECKING:  # pragma: no cover - hints only (import cycle guard)
     from repro.robust.budget import BudgetMeter
 
 
-#: What an address never written reads as (the byte map's default).
-_UNSPEC_BYTE = AbsByte.unspec()
+#: The ghost state of a slot with no metadata, and of every hardware
+#: capability (immutable, so shared).
+_CLEAN_GHOST = GhostState()
 
 
 class Mode(enum.Enum):
@@ -122,6 +122,8 @@ class MemoryModel:
                  meter: "BudgetMeter | None" = None) -> None:
         self.arch = arch
         self.mode = mode
+        #: ``mode is Mode.HARDWARE``, read on every access.
+        self.hardware = mode is Mode.HARDWARE
         self.layout = TargetLayout(arch)
         self.state = MemState(arch, address_map, allocator)
         self.subobject_bounds = subobject_bounds
@@ -143,10 +145,6 @@ class MemoryModel:
     # ------------------------------------------------------------------
     # Error helpers
     # ------------------------------------------------------------------
-
-    @property
-    def hardware(self) -> bool:
-        return self.mode is Mode.HARDWARE
 
     def _ub(self, ub: UB, detail: str = "", **ctx) -> UndefinedBehaviour:
         bus = self.bus
@@ -215,10 +213,8 @@ class MemoryModel:
                              readonly=True, ctype=None)
         # Code capabilities are derived from the PCC-like root, not from
         # a data capability: rebuild from the root with code permissions.
-        cap, _exact = self._code_root.set_bounds(ptr.cap.base,
-                                                 ptr.cap.length)
-        cap = cap.sealed_with(OType.sentry())
-        return ptr.with_cap(cap)
+        return ptr.with_cap(self._code_root.sentry(ptr.cap.base,
+                                                   ptr.cap.length))
 
     def _allocate(self, size: int, align: int, kind: AllocKind, name: str,
                   readonly: bool, ctype: CType | None) -> PointerValue:
@@ -230,34 +226,12 @@ class MemoryModel:
             cap_base=base, cap_size=padded,
         )
         self.state.add_allocation(alloc)
-        # Fresh objects have unspecified contents and no tags (this also
-        # clears stale bytes when stack addresses are reused).  Scan
-        # whichever side is smaller: the address range, or the live
-        # byte/capmeta maps -- a multi-megabyte malloc must not walk
-        # millions of addresses that were never written.
-        top = base + padded
-        bytes_map = self.state.bytes
-        if bytes_map:
-            if padded <= len(bytes_map):
-                for addr in range(base, top):
-                    bytes_map.pop(addr, None)
-            else:
-                for addr in [a for a in bytes_map if base <= a < top]:
-                    del bytes_map[addr]
-        capmeta = self.state.capmeta
-        if capmeta:
-            slots = self.state.cap_slots(base, padded)
-            if len(slots) <= len(capmeta):
-                for slot in slots:
-                    capmeta.pop(slot, None)
-            else:
-                first, last = slots[0], slots[-1]
-                for slot in [s for s in capmeta if first <= s <= last]:
-                    del capmeta[slot]
+        # Fresh objects have unspecified contents and no tags.
+        self.state.reset_region(base, padded)
 
         # S3.9: capabilities to const objects lack write permission.
         root = self._const_root if readonly else self._data_root
-        cap, _exact = root.set_bounds(base, size)
+        cap = root.bounded(base, size)
         if not cap.tag:
             raise MemoryModelError(
                 f"allocator produced unrepresentable bounds at {base:#x}")
@@ -425,7 +399,7 @@ class MemoryModel:
         write-to-const -- run on every access.
         """
         cap = ptr.cap
-        hardware = self.mode is Mode.HARDWARE
+        hardware = self.hardware
         shape = (hardware, size, store, initialising)
         passed = cap.passed_checks()
         if shape not in passed:
@@ -630,16 +604,22 @@ class MemoryModel:
         raise MemoryModelError(f"load at unhandled type {ctype}")
 
     def _decode_integer(self, ctype: Integer, addr: int) -> MemoryValue:
-        size = self.layout.int_size(ctype.kind)
-        get = self.state.bytes.get
-        raw = [get(a, _UNSPEC_BYTE) for a in range(addr, addr + size)]
+        kind = ctype.kind
+        size = self.layout.int_size(kind)
+        data = self.state.plain_bytes(addr, size)
+        if data is not None:
+            # Plain bytes: no provenance to keep or expose.
+            value = self.layout.wrap(kind, int.from_bytes(data, "little"))
+            return MVInteger(ctype, IntegerValue.of_int(value))
+        read = self.state.read_byte
+        raw = [read(a) for a in range(addr, addr + size)]
         values = [b.value for b in raw]
         if None in values:
             if not self.hardware:
                 return MVUnspecified(ctype)
             values = [v or 0 for v in values]
         value = int.from_bytes(bytes(values), "little")
-        value = self.layout.wrap(ctype.kind, value)
+        value = self.layout.wrap(kind, value)
         ival = IntegerValue.of_int(value)
         if size == 1 and not raw[0].prov.is_empty:
             # Keep byte identity so char-wise pointer copies round-trip
@@ -650,37 +630,61 @@ class MemoryModel:
 
     def _decode_capability(self, ctype: CType, addr: int, *,
                            via: Capability | None) -> MemoryValue:
+        stored = self.state.stored_capability(addr)
+        if stored is not None:
+            # Every byte is the stored capability's own, in order: the
+            # representation is coherent and carries the slot provenance.
+            data, prov = stored
+            raw = None
+        else:
+            data, raw = self._capability_bytes(addr)
+            if data is None:
+                return MVUnspecified(ctype)
+            prov = self._bytes_provenance(raw)
+        meta = self.state.capmeta.get(addr)
+        if meta is None:
+            tag, ghost = False, _CLEAN_GHOST
+        else:
+            tag, ghost = meta.tag, meta.ghost
+        if self.hardware:
+            ghost = _CLEAN_GHOST
+        # Loading a capability through a capability lacking LOAD_CAP
+        # strips the tag rather than trapping.
+        if via is not None and tag and not via.has_perm(Permission.LOAD_CAP):
+            tag = False
+        cap = self.arch.decode(data, tag, ghost)
+        if isinstance(ctype, Integer):
+            # (u)intptr_t: the S4.3 integer_value (B x Cap) case.
+            if raw is None:
+                if prov.kind is ProvKind.ALLOC and not self.hardware:
+                    self._expose(prov.ident, "pointer bytes read at "
+                                             "integer type")
+            else:
+                self._expose_bytes(raw)
+            return MVInteger(ctype, IntegerValue.of_cap(
+                cap, ctype.is_signed, prov))
+        return MVPointer(ctype, PointerValue(prov, cap))
+
+    def _capability_bytes(self, addr: int
+                          ) -> tuple[bytes | None, list[AbsByte]]:
+        """The byte-wise read of a capability representation: its data
+        (``None`` when wholly unspecified in the abstract machine) and
+        the abstract bytes."""
         size = self.arch.capability_size
-        get = self.state.bytes.get
-        raw = [get(a, _UNSPEC_BYTE) for a in range(addr, addr + size)]
+        read = self.state.read_byte
+        raw = [read(a) for a in range(addr, addr + size)]
         values = [b.value for b in raw]
         if None in values:
             if not self.hardware:
                 if values.count(None) == size:
-                    return MVUnspecified(ctype)
+                    return None, raw
                 # Partially-overwritten capability representation:
                 # decoding the stored representation fails (ISO UB012,
                 # S4.2).
                 raise self._ub(UB.READ_TRAP_REPRESENTATION,
                                f"partial capability at {addr:#x}")
             values = [v or 0 for v in values]
-        data = bytes(values)
-        meta = self.state.capmeta_at(addr)
-        tag, ghost = meta.tag, meta.ghost
-        if self.hardware:
-            ghost = GhostState()
-        # Loading a capability through a capability lacking LOAD_CAP
-        # strips the tag rather than trapping.
-        if via is not None and tag and not via.has_perm(Permission.LOAD_CAP):
-            tag = False
-        cap = self.arch.decode(data, tag, ghost)
-        prov = self._bytes_provenance(raw)
-        if isinstance(ctype, Integer):
-            # (u)intptr_t: the S4.3 integer_value (B x Cap) case.
-            self._expose_bytes(raw)
-            return MVInteger(ctype, IntegerValue.of_cap(
-                cap, ctype.is_signed, prov))
-        return MVPointer(ctype, PointerValue(prov, cap))
+        return bytes(values), raw
 
     def _bytes_provenance(self, raw: list[AbsByte]) -> Provenance:
         """The ``abst`` provenance-coherence rule: a pointer read back
@@ -724,8 +728,7 @@ class MemoryModel:
                       via: Capability | None) -> None:
         size, is_cap, is_int = self.layout.access_plan(ctype)
         if isinstance(value, MVUnspecified):
-            for i in range(size):
-                self.state.bytes.pop(addr + i, None)
+            self.state.clear_bytes(addr, size)
             self.state.taint_capmeta(addr, size, self.hardware)
             return
         if is_cap:
@@ -769,14 +772,12 @@ class MemoryModel:
         data = (num & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
         copied_cap_byte = (size == 1 and not ival.prov.is_empty
                            and ival.cap is None)
-        bytes_map = self.state.bytes
         if copied_cap_byte:
             # A char value read from a pointer representation keeps its
             # provenance through the copy (S3.5 loop example).
-            bytes_map[addr] = AbsByte(ival.prov, data[0])
+            self.state.write_byte(addr, AbsByte(ival.prov, data[0]))
         else:
-            for i, byte in enumerate(data):
-                bytes_map[addr + i] = AbsByte.plain(byte)
+            self.state.write_plain(addr, data)
         self._taint_after_data_write(addr, size, copied_cap_byte)
 
     def _taint_after_data_write(self, addr: int, size: int,
@@ -836,11 +837,8 @@ class MemoryModel:
                     "storing tagged capability without STORE_CAP")
             raise self._ub(UB.CHERI_INSUFFICIENT_PERMISSIONS,
                            "missing STORE_CAP")
-        data = self.arch.encode(cap)
-        bytes_map = self.state.bytes
-        for i, byte in enumerate(data):
-            bytes_map[addr + i] = AbsByte(prov, byte, i)
-        ghost = GhostState() if self.hardware else cap.ghost
+        self.state.write_capability(addr, self.arch.encode(cap), prov)
+        ghost = _CLEAN_GHOST if self.hardware else cap.ghost
         self.state.set_capmeta(addr, CapMeta(tag=cap.tag, ghost=ghost))
 
     # ------------------------------------------------------------------
@@ -1122,9 +1120,7 @@ class MemoryModel:
 
     def _raw_copy(self, daddr: int, saddr: int, n: int) -> None:
         cap_size = self.arch.capability_size
-        snapshot = [self.state.read_byte(saddr + i) for i in range(n)]
-        for i, b in enumerate(snapshot):
-            self.state.write_byte(daddr + i, b)
+        self.state.copy(daddr, saddr, n)
         # Capability metadata: whole aligned capability chunks carry
         # their tag+ghost across; any other destination slot the copy
         # touches is tainted like a data write.
@@ -1175,9 +1171,7 @@ class MemoryModel:
         if n == 0:
             return dest
         self._check_access(dest, n, store=True)
-        plain = AbsByte.plain(byte & 0xFF)
-        for i in range(n):
-            self.state.write_byte(dest.address + i, plain)
+        self.state.fill(dest.address, n, byte & 0xFF)
         self.state.taint_capmeta(dest.address, n, self.hardware)
         bus = self.bus
         if bus is not None:

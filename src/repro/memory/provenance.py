@@ -40,7 +40,14 @@ class Provenance:
 
     @classmethod
     def alloc(cls, alloc_id: int) -> "Provenance":
-        return cls(ProvKind.ALLOC, alloc_id)
+        # Built per allocation, so the fields go straight into the
+        # instance dictionary rather than through the frozen
+        # dataclass's per-field ``object.__setattr__``.
+        prov = _new(cls)
+        state = prov.__dict__
+        state["kind"] = ProvKind.ALLOC
+        state["ident"] = alloc_id
+        return prov
 
     @classmethod
     def symbolic(cls, iota_id: int) -> "Provenance":
@@ -69,4 +76,5 @@ class Provenance:
         return f"@{self.ident}"
 
 
+_new = object.__new__
 _EMPTY = Provenance(ProvKind.EMPTY)

@@ -23,6 +23,9 @@ from repro.capability.abstract import Capability
 from repro.ctypes.types import ArrayT, CType, StructT, UnionT
 from repro.memory.provenance import Provenance
 
+_new = object.__new__
+_EMPTY_PROV = Provenance.empty()
+
 
 @dataclass(frozen=True)
 class IntegerValue:
@@ -44,7 +47,17 @@ class IntegerValue:
 
     @classmethod
     def of_int(cls, value: int) -> "IntegerValue":
-        return cls(num=value)
+        """The plain integer ``value``.  Every loaded integer is built
+        here, so the fields go straight into the instance dictionary
+        (as ``_make_cap`` does for capabilities) instead of through the
+        frozen dataclass ``__init__`` and its check."""
+        ival = _new(cls)
+        state = ival.__dict__
+        state["num"] = value
+        state["cap"] = None
+        state["signed"] = True
+        state["prov"] = _EMPTY_PROV
+        return ival
 
     @classmethod
     def of_cap(cls, cap: Capability, signed: bool,

@@ -7,7 +7,10 @@ Every cache here is a pure function of immutable inputs:
 * memoised passes of the capability checks -- keyed by the access's
   ``(mode, size, store, initialising)``, never recording a failure;
 * the per-architecture decode memo, derived allocation roots, per-type
-  access plans and interned plain bytes.
+  access plans and interned plain bytes;
+* allocation bounds and function sentries memoised per root (fresh
+  capabilities from packed bounds fields), encodings memoised per
+  capability.
 
 The UB-event tests pin the explainer's join keys now that the
 provenance payload is built only on the raising branches.
@@ -21,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.capability import (
     CHERIOT,
     MORELLO,
+    CompressedBounds,
     GhostState,
     OType,
     Permission,
@@ -399,13 +403,13 @@ def test_integer_stores_write_plain_bytes_and_keep_char_provenance():
     model = fresh_model(MORELLO, Mode.ABSTRACT)
     ptr = model.allocate_object(INT, AllocKind.STACK, "x")
     model.store(INT, ptr, MVInteger(INT, IntegerValue.of_int(0x01020304)))
-    stored = [model.state.bytes[ptr.address + i] for i in range(4)]
+    stored = [model.state.read_byte(ptr.address + i) for i in range(4)]
     assert stored == [AbsByte.plain(b) for b in (4, 3, 2, 1)]
     assert all(b is AbsByte.plain(b.value) for b in stored)
     c = model.allocate_object(CHAR, AllocKind.STACK, "c")
     prov = Provenance.alloc(ptr.prov.ident)
     model.store(CHAR, c, MVInteger(CHAR, IntegerValue(num=7, prov=prov)))
-    assert model.state.bytes[c.address] == AbsByte(prov, 7)
+    assert model.state.read_byte(c.address) == AbsByte(prov, 7)
 
 
 
@@ -419,3 +423,73 @@ def test_pickled_architecture_leaves_its_memos_behind(arch):
     clone = pickle.loads(blob)
     assert clone == arch
     assert clone.decode(arch.encode(cap), True) == cap
+
+
+# ---------------------------------------------------------------------------
+# Memoised derivations: allocation bounds, sentries, encodings
+# ---------------------------------------------------------------------------
+
+
+
+@pytest.mark.parametrize("arch", ARCHES, ids=arch_ids)
+def test_allocation_capabilities_are_fresh_with_memoised_bounds(arch):
+    caps = [fresh_model(arch, Mode.ABSTRACT).allocate_object(
+        LONG, AllocKind.STACK, "x").cap for _ in range(2)]
+    root = arch.derived_root(DATA_PERMS)
+    expected, _exact = root.set_bounds(caps[0].base, caps[0].length)
+    assert caps[0] == caps[1] == expected
+    assert caps[0] is not caps[1]
+    caps[0].passed_checks().add("shape")
+    assert caps[1].passed_checks() == set()
+
+
+@pytest.mark.parametrize("arch", ARCHES, ids=arch_ids)
+def test_bounded_derivations_rebuild_from_the_memo(arch):
+    root = arch.root_capability().without_perms(Permission.SYSTEM)
+    first = root.bounded(0x8000, 48)
+    assert first == root.set_bounds(0x8000, 48)[0]
+    first.passed_checks().add("shape")
+    again = root.bounded(0x8000, 48)
+    assert again == first and again is not first
+    assert again.decoded() == first.decoded()
+    assert again.passed_checks() == set()
+    assert arch.encode(again) == arch._encode(again)
+    # Past the address space the derivation is untagged: not memoised.
+    space = 1 << arch.address_width
+    assert root.bounded(space - 16, 32) == root.set_bounds(space - 16,
+                                                           32)[0]
+    assert not root.bounded(space - 16, 32).tag
+
+
+@pytest.mark.parametrize("arch", ARCHES, ids=arch_ids)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_packed_bounds_fields_round_trip(arch, data):
+    cap = data.draw(capabilities(arch))
+    fields_ = cap.bounds_fields
+    again = CompressedBounds.unpack(arch.compression, fields_.pack())
+    assert again == fields_
+    assert again.decode(cap.address) == cap.decoded()
+
+
+@pytest.mark.parametrize("arch", ARCHES, ids=arch_ids)
+def test_function_sentries_match_the_derivation(arch):
+    model = fresh_model(arch, Mode.ABSTRACT)
+    f = model.allocate_function("f")
+    g = fresh_model(arch, Mode.ABSTRACT).allocate_function("f")
+    derived, _exact = arch.derived_root(CODE_PERMS).set_bounds(
+        f.cap.base, f.cap.length)
+    assert f.cap == g.cap == derived.sealed_with(OType.sentry())
+    assert f.cap is not g.cap and f.cap.is_sealed and f.cap.tag
+
+
+@pytest.mark.parametrize("arch", ARCHES, ids=arch_ids)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_encode_memo_agrees_with_the_representation(arch, data):
+    raw = data.draw(st.binary(min_size=arch.capability_size,
+                              max_size=arch.capability_size))
+    cap = arch.decode(raw, data.draw(st.booleans()))
+    assert arch.encode(cap) == raw
+    clone = cap.with_address(cap.address ^ 1)
+    assert arch.encode(clone) == arch.encode(clone) == arch._encode(clone)

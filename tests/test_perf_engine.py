@@ -449,6 +449,72 @@ class TestBenchGateSkipReason:
         assert bench.throughput_gate_skip_reason(4, 8) == ""
 
 
+class TestBenchGateVerdict:
+    """benchmarks/bench_engine.py reports a missed performance gate as
+    a gate failure, never as non-determinism."""
+
+    bench_module = staticmethod(TestBenchGateSkipReason.bench_module)
+
+    REPORTS = dict(
+        compare_reports={"serial": "r", "cached": "r", "parallel": "r"},
+        fuzz_signatures={"serial": ["g"], "parallel": ["g"]},
+        warm_reports={"cold": "r", "warm": "r"},
+        evaluator_reports={"core": "r", "compiled": "r",
+                           "fuzz_core": "f", "fuzz_compiled": "f"},
+    )
+
+    @staticmethod
+    def timings(speedup_parallel=2.0, compiled=56.0, ratio=1.5):
+        return dict(
+            warm={"compiles_performed": 0},
+            allocator={"policy_grid_extra_compiles": 0},
+            evaluator={"speedup_compiled_compliance": compiled,
+                       "compliance_compiled_s": 0.1,
+                       "compliance_core_s": 0.1 * compiled},
+            fuzz={"speedup_parallel": speedup_parallel},
+            coverage={"guided_blind_ratio": ratio,
+                      "guided_ops_per_1k": 1.0, "blind_ops_per_1k": 1.0},
+        )
+
+    def test_parallel_gate_miss_is_a_gate_failure(self):
+        bench = self.bench_module()
+        mismatches = bench.report_mismatches(**self.REPORTS)
+        gates = bench.failed_gates(**self.timings(speedup_parallel=1.058),
+                                   jobs=2, cores=2, programs=120)
+        assert mismatches == []
+        assert [name for name, _ in gates] == ["parallel-fuzz-1.5x"]
+        assert bench.verdict(mismatches, gates) == "GATE FAIL"
+
+    def test_every_gate_is_named(self):
+        bench = self.bench_module()
+        timings = self.timings(speedup_parallel=1.0, compiled=1.5,
+                               ratio=1.0)
+        timings["warm"]["compiles_performed"] = 3
+        timings["allocator"]["policy_grid_extra_compiles"] = 1
+        gates = bench.failed_gates(**timings, jobs=2, cores=2,
+                                   programs=120)
+        assert [name for name, _ in gates] == [
+            "warm-start-compiles", "allocator-grid-compiles",
+            "compiled-2x", "parallel-fuzz-1.5x", "coverage"]
+
+    def test_skipped_gates_do_not_fail(self):
+        bench = self.bench_module()
+        timings = self.timings(speedup_parallel=1.0, ratio=1.0)
+        assert bench.failed_gates(**timings, jobs=2, cores=1,
+                                  programs=50) == []
+
+    def test_report_mismatch_is_divergence(self):
+        bench = self.bench_module()
+        reports = dict(self.REPORTS,
+                       fuzz_signatures={"serial": ["g"], "parallel": []})
+        mismatches = bench.report_mismatches(**reports)
+        assert mismatches == ["parallel fuzz report diverges from serial"]
+        gates = bench.failed_gates(**self.timings(speedup_parallel=1.0),
+                                   jobs=2, cores=2, programs=120)
+        assert bench.verdict(mismatches, gates) == "DIVERGENCE"
+        assert bench.verdict([], []) == "OK"
+
+
 class TestCompileRunSplit:
     def test_run_compiled_reusable_across_runs(self):
         program = compile_core(CERBERUS, SOURCE)
