@@ -122,10 +122,9 @@ def _budget_from(args):
 
 
 def _apply_cache_flag(args) -> bool:
-    """Set the process-wide cache switches (in-memory and on-disk);
-    returns the use_cache value to thread into worker processes (the
-    disk configuration travels separately, through the pool's worker
-    initializer)."""
+    """Set the process-wide cache switches (in-memory and on-disk),
+    which reach pool workers through the pool's initializer; returns
+    the use_cache value for the engine entry points."""
     from repro.perf import configure_disk_cache, set_cache_enabled
     use_cache = not args.no_compile_cache
     set_cache_enabled(use_cache)
@@ -137,8 +136,9 @@ def _apply_cache_flag(args) -> bool:
 
 def _apply_evaluator_flag(args) -> str | None:
     """Set the process-wide evaluator default when ``--evaluator`` is
-    given; returns the choice to thread into worker processes (None =
-    flag absent, keep the default)."""
+    given (pool workers take it through the pool's initializer);
+    returns the choice for the engine entry points (None = flag
+    absent, keep the default)."""
     if getattr(args, "evaluator", None) is not None:
         from repro.core.coreeval import set_default_evaluator
         set_default_evaluator(args.evaluator)
@@ -205,8 +205,10 @@ def fuzz_main(argv: list[str]) -> int:
                              "table after the report")
     _add_engine_flags(parser)
     args = parser.parse_args(argv)
-    use_cache = _apply_cache_flag(args)
-    evaluator = _apply_evaluator_flag(args)
+    # The engine's process settings; the fuzz loops and their pool
+    # workers take them from here.
+    _apply_cache_flag(args)
+    _apply_evaluator_flag(args)
 
     def print_metrics() -> None:
         if args.metrics:
@@ -276,9 +278,7 @@ def fuzz_main(argv: list[str]) -> int:
                 resume=args.resume,
                 targets=targets,
                 jobs=args.jobs,
-                use_cache=use_cache,
                 budget=budget,
-                evaluator=evaluator,
                 progress=campaign_progress)
         except CampaignError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -305,9 +305,7 @@ def fuzz_main(argv: list[str]) -> int:
         preserve_explanation=args.preserve_explanation,
         progress=progress,
         jobs=args.jobs,
-        use_cache=use_cache,
-        budget=budget,
-        evaluator=evaluator)
+        budget=budget)
     print(render_fuzz_summary(report), end="")
     print_metrics()
     return 0 if report.ok else 1

@@ -23,16 +23,18 @@ whole implementation registry:
   (minimized cases with recorded per-implementation outcomes, replayed
   by pytest) and the campaign corpus stores (coverage-advancing seeds,
   distinct-bug finding records, merge and minimise);
-* :mod:`repro.fuzz.driver` -- the blind iteration loop behind
-  ``repro fuzz --seed N --iterations K --time-budget S``;
+* :mod:`repro.fuzz.driver` -- blind fuzzing behind ``repro fuzz --seed
+  N --iterations K``: the campaign engine's corpus-less window, plus
+  divergence grouping and shrinking;
 * :mod:`repro.fuzz.coverage` -- the coverage signal (Core op ids, UB
   kinds, event signatures) distilled from one traced reference run;
 * :mod:`repro.fuzz.mutate` -- AST-level mutation of corpus seeds
   (splice, perturbation, and the CRuby-porting pointer-tagging /
   union-round-trip templates);
-* :mod:`repro.fuzz.campaign` -- the coverage-guided campaign engine
-  behind ``repro fuzz --guided --corpus-dir DIR --shard i/n --resume``:
-  resumable, deterministically shardable, distinct-bug deduplicated.
+* :mod:`repro.fuzz.campaign` -- the fuzz engine: one window runner
+  for both loops, and the coverage-guided campaign behind ``repro fuzz
+  --guided --corpus-dir DIR --shard i/n --resume`` (resumable,
+  deterministically shardable, distinct-bug deduplicated).
 """
 
 from repro.fuzz.campaign import (

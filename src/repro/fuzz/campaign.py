@@ -1,15 +1,17 @@
-"""Coverage-guided fuzz campaigns: resumable, shardable, deduplicated.
+"""The fuzz engine: coverage-guided campaigns and the blind window.
 
 ``run_campaign`` is the engine behind ``repro fuzz --guided --corpus-dir
-DIR [--shard i/n] [--resume]``.  It differs from the blind loop
-(:func:`repro.fuzz.driver.run_fuzz`) in three ways:
+DIR [--shard i/n] [--resume]``; blind fuzzing
+(:func:`repro.fuzz.driver.run_fuzz`) is the same :func:`run_window`,
+unsharded, over an empty snapshot.  The guided campaign adds:
 
 * **Guidance.**  Every candidate's traced reference run yields a
   :class:`~repro.fuzz.coverage.Coverage` fingerprint; candidates whose
   fingerprint contains keys the corpus snapshot lacks are admitted as
   seeds, and once the corpus is non-empty most candidates are
   *mutations* of stored seeds (rarity-weighted scheduling, AFL-style)
-  rather than fresh draws from the blind grammar.
+  rather than fresh draws from the blind grammar.  The oracle
+  classifies against that same traced run.
 
 * **Dedup.**  Findings are keyed by the explainer's explaining
   signature (``repro.obs.explain.explaining_signature`` of the
@@ -42,10 +44,11 @@ import json
 import pathlib
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable
 
 from repro.core.coreeval import set_default_evaluator
+from repro.errors import OutcomeKind
 from repro.fuzz.corpus import (
     FindingRecord,
     SeedEntry,
@@ -56,12 +59,11 @@ from repro.fuzz.corpus import (
     save_seed,
 )
 from repro.fuzz.coverage import Coverage, coverage_of
-from repro.fuzz.driver import DEFAULT_ITERATIONS, iteration_seed
 from repro.fuzz.generator import FuzzProgram, ProgramGenerator
 from repro.fuzz.mutate import mutate
 from repro.fuzz.oracle import FUZZ_TARGETS, evaluate_program
 from repro.perf.cache import set_cache_enabled
-from repro.perf.pool import TaskFailure, parallel_map
+from repro.perf.pool import TaskFailure, parallel_map, resolve_jobs
 from repro.robust.budget import DEFAULT_FUZZ_BUDGET
 
 #: ``state.json`` format version (bump on incompatible change).
@@ -71,6 +73,10 @@ STATE_VERSION = 1
 #: the corpus is non-empty (AFL's havoc/import balance): pure mutation
 #: of early seeds would trap the campaign in their neighbourhood.
 FRESH_FRACTION = 0.2
+
+#: Default window size when neither --iterations nor --time-budget is
+#: given.
+DEFAULT_ITERATIONS = 100
 
 
 class CampaignError(RuntimeError):
@@ -147,6 +153,20 @@ def merge_states(dest: pathlib.Path | str, sources) -> None:
 # ---------------------------------------------------------------------------
 # The corpus snapshot and candidate derivation
 
+def iteration_seed(seed: int, index: int) -> str:
+    """The stable seed for candidate ``index`` of campaign ``seed``.
+
+    A string, not ``hash((seed, index))``: :class:`random.Random` seeds
+    strings through SHA-512, so the derivation is independent of
+    ``PYTHONHASHSEED`` and identical on every platform.  Deriving per
+    candidate (instead of drawing from one sequential stream) makes
+    candidate ``i`` reproducible in isolation -- reordering, skipping,
+    or fanning candidates across workers cannot change what any
+    candidate is.
+    """
+    return f"{seed}:{index}"
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """A campaign invocation's frozen view of its corpus.
@@ -155,7 +175,7 @@ class Snapshot:
     back (the shard-determinism contract).  ``weights`` are the
     rarity-weighted scheduler's per-entry draw weights; ``baseline``
     is the union of stored coverage keys that admission is judged
-    against."""
+    against.  The empty snapshot is blind fuzzing's."""
 
     entries: tuple = ()
     weights: tuple = ()
@@ -194,31 +214,49 @@ def take_snapshot(directory: pathlib.Path | str) -> Snapshot:
 
 
 def derive_candidate(seed: int, index: int,
-                     snapshot: Snapshot) -> tuple[FuzzProgram, str]:
+                     snapshot: Snapshot = Snapshot(),
+                     heap_reuse: bool = False) -> tuple[FuzzProgram, str]:
     """Candidate ``index`` of campaign ``seed`` over ``snapshot``.
 
     Pure: the same arguments produce the same program on every shard,
-    platform, and worker count.  With an empty snapshot this is
-    *exactly* the blind generator's program for the same (seed, index)
-    -- byte-identical, so a guided campaign's first window is an honest
-    blind baseline.  Returns ``(program, "fresh" | "mutant")``.
+    platform, and worker count.  With an empty snapshot this is blind
+    fuzzing's program (:func:`repro.fuzz.driver.program_for`; its
+    ``heap_reuse`` enables the generator's heap-reuse shapes), so a
+    guided campaign's first window is an honest blind baseline.
+    Returns ``(program, "fresh" | "mutant")``.
     """
     rng = random.Random(iteration_seed(seed, index))
-    if not snapshot.entries:
-        return ProgramGenerator(rng).generate(), "fresh"
-    if rng.random() < FRESH_FRACTION:
-        return ProgramGenerator(rng).generate(), "fresh"
-    entry = rng.choices(snapshot.entries,
-                        weights=snapshot.weights, k=1)[0]
-    return mutate(entry.program, rng, pool=snapshot.pool), "mutant"
+    if snapshot.entries and rng.random() >= FRESH_FRACTION:
+        entry = rng.choices(snapshot.entries,
+                            weights=snapshot.weights, k=1)[0]
+        return mutate(entry.program, rng, pool=snapshot.pool), "mutant"
+    return ProgramGenerator(rng, heap_reuse=heap_reuse).generate(), "fresh"
 
 
 # ---------------------------------------------------------------------------
-# Candidate evaluation (worker body)
+# Candidate evaluation (worker bodies)
+
+@dataclass(frozen=True)
+class FuzzTask:
+    """One candidate as a pool worker receives it: the program, then
+    keyword-only settings.  ``targets=None`` stands for
+    :data:`~repro.fuzz.oracle.FUZZ_TARGETS`, so the pickle does not
+    carry the registry; ``classify=False`` probes coverage only."""
+
+    program: FuzzProgram
+    _: KW_ONLY
+    targets: tuple | None = None
+    budget: object = DEFAULT_FUZZ_BUDGET
+    classify: bool = True
+
+    @property
+    def target_set(self) -> tuple:
+        return FUZZ_TARGETS if self.targets is None else self.targets
+
 
 @dataclass(frozen=True)
 class CandidateResult:
-    """What one candidate evaluation ships back from a worker."""
+    """What one guided candidate evaluation ships back from a worker."""
 
     coverage: Coverage
     signature: tuple | None
@@ -226,10 +264,9 @@ class CandidateResult:
     divergences: tuple = ()
 
 
-def _candidate_label(outcome, classify: bool) -> str:
-    from repro.errors import OutcomeKind
-    if not classify:
-        return "unclassified"
+def reference_label(outcome) -> str:
+    """The reference-outcome label a report counts (``None`` = the
+    reference crashed)."""
     if outcome is None:
         return "crash"
     if outcome.kind is OutcomeKind.EXIT:
@@ -237,30 +274,25 @@ def _candidate_label(outcome, classify: bool) -> str:
     return outcome.describe()
 
 
-def _evaluate_candidate(task):
+def _evaluate_candidate(task: FuzzTask) -> CandidateResult:
     """Worker body: probe coverage and (optionally) classify one
     candidate.  Top-level and argument-picklable for the pool; the
     serial path runs the identical function in-process."""
-    program_dict, targets, use_cache, budget, evaluator, classify = task
-    if targets is None:
-        targets = FUZZ_TARGETS
-    if use_cache is not None:
-        set_cache_enabled(use_cache)
-    if evaluator is not None:
-        set_default_evaluator(evaluator)
-    program = FuzzProgram.from_dict(program_dict)
     # One traced reference run yields coverage, the dedup signature,
     # and the reference outcome -- evaluator pinned inside coverage_of,
-    # never the campaign's choice (the determinism contract).
-    probe = coverage_of(program, budget=budget)
+    # never the campaign's choice (the determinism contract).  The
+    # oracle classifies against that run instead of repeating it.
+    probe = coverage_of(task.program, budget=task.budget)
     divergences: tuple = ()
-    if classify:
-        verdict = evaluate_program(program, targets,
-                                   attach_evidence=False, budget=budget)
+    if task.classify:
+        verdict = evaluate_program(
+            task.program, task.target_set, attach_evidence=False,
+            budget=task.budget, reference_run=(probe.outcome, probe.crash))
         divergences = tuple(verdict.divergences)
     return CandidateResult(
         coverage=probe.coverage, signature=probe.signature,
-        label=_candidate_label(probe.outcome, classify),
+        label=(reference_label(probe.outcome) if task.classify
+               else "unclassified"),
         divergences=divergences)
 
 
@@ -276,6 +308,90 @@ def _witness_payload(program: FuzzProgram, divergences) -> dict:
     return {"source": program.render(),
             "program": program.to_dict(),
             "observations": observations}
+
+
+# ---------------------------------------------------------------------------
+# The window runner (blind and guided)
+
+def run_window(report, worker: Callable, consume: Callable, *,
+               seed: int, snapshot: Snapshot = Snapshot(),
+               heap_reuse: bool = False, start: int = 0,
+               iterations: int | None = None,
+               time_budget: float | None = None,
+               shard: tuple[int, int] = (0, 1), targets=FUZZ_TARGETS,
+               budget=DEFAULT_FUZZ_BUDGET, classify: bool = True,
+               jobs: int = 1, use_cache: bool | None = None,
+               evaluator: str | None = None,
+               progress: Callable | None = None,
+               **pool) -> tuple[int, dict[str, int]]:
+    """Evaluate one window of candidates; return the cursor after it
+    and the candidates' counts by origin (``fresh``/``mutant``).
+
+    The window is ``[start, start + iterations)`` (default
+    :data:`DEFAULT_ITERATIONS`); this shard takes the indices congruent
+    to ``shard[0]`` mod ``shard[1]``.  Each is derived in the parent and
+    evaluated as a :class:`FuzzTask` by ``worker`` through the pool
+    (``pool``: ``task_timeout``/``fault_plan``/``bus``);
+    ``consume(index, program, result)`` folds each result into
+    ``report`` in index order and returns its reference label.  The
+    runner keeps ``report.reference_counts`` and ``report.quarantined``
+    (candidates whose worker died twice) and calls ``progress(count,
+    report)`` after every candidate.
+
+    A fixed count is one pool pass.  Under ``time_budget`` the window
+    grows in chunks of ``4 * jobs * shards`` indices until the budget
+    has elapsed, so it may overshoot by up to one chunk and the cursor
+    lands on a chunk boundary.  ``evaluator`` and ``use_cache``
+    (``None`` = keep) become this process's defaults, which reach pool
+    workers through the initializer.
+    """
+    if iterations is None and time_budget is None:
+        iterations = DEFAULT_ITERATIONS
+    if evaluator is not None:
+        set_default_evaluator(evaluator)
+    if use_cache is not None:
+        set_cache_enabled(use_cache)
+    task_targets = None if targets is FUZZ_TARGETS else targets
+    started = time.monotonic()
+    derived: dict[str, int] = {}
+    processed = 0
+
+    def window(begin: int, end: int) -> None:
+        nonlocal processed
+        indices = [k for k in range(begin, end)
+                   if k % shard[1] == shard[0]]
+        candidates = [derive_candidate(seed, k, snapshot, heap_reuse)
+                      for k in indices]
+        tasks = [FuzzTask(program, targets=task_targets, budget=budget,
+                          classify=classify)
+                 for program, _ in candidates]
+        results = parallel_map(worker, tasks, jobs=jobs, **pool)
+        for k, (program, origin), result in zip(indices, candidates,
+                                                 results):
+            derived[origin] = derived.get(origin, 0) + 1
+            if isinstance(result, TaskFailure):
+                report.quarantined.append(k)
+                label = "quarantined"
+            else:
+                label = consume(k, program, result)
+            report.reference_counts[label] = \
+                report.reference_counts.get(label, 0) + 1
+            processed += 1
+            if progress is not None:
+                progress(processed, report)
+
+    chunk = iterations if time_budget is None \
+        else 4 * resolve_jobs(jobs) * shard[1]
+    cursor = start
+    while ((iterations is None or cursor - start < iterations)
+           and (time_budget is None
+                or time.monotonic() - started < time_budget)):
+        end = cursor + chunk
+        if iterations is not None:
+            end = min(end, start + iterations)
+        window(cursor, end)
+        cursor = end
+    return cursor, derived
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +456,7 @@ def run_campaign(seed: int = 0,
     indices, where ``start`` is 0 or -- under ``resume`` -- the stored
     cursor; this shard evaluates the indices congruent to its shard
     index.  Under a ``time_budget`` the window instead grows in chunks
-    until the budget elapses (the cursor then lands on a chunk
-    boundary, so every shard that ran the same chunks agrees on it).
+    until the budget elapses (see :func:`run_window`).
 
     ``classify=False`` skips the differential oracle (coverage probe
     only) -- the bench coverage axis uses it to measure guidance
@@ -355,10 +470,6 @@ def run_campaign(seed: int = 0,
     if not 0 <= shard[0] < shard[1]:
         raise CampaignError(f"shard index must satisfy 0 <= i < n, "
                             f"got {shard[0]}/{shard[1]}")
-    if iterations is None and time_budget is None:
-        iterations = DEFAULT_ITERATIONS
-    if evaluator is not None:
-        set_default_evaluator(evaluator)
     corpus_dir = pathlib.Path(corpus_dir)
 
     state = load_state(corpus_dir)
@@ -378,83 +489,38 @@ def run_campaign(seed: int = 0,
     report = CampaignReport(seed=seed, shard=shard,
                             corpus_dir=corpus_dir, start_index=start)
     started = time.monotonic()
-    task_targets = None if targets is FUZZ_TARGETS else targets
-    seen_new_seeds: set[str] = set()
 
-    def consume(index: int, program: FuzzProgram, item) -> None:
-        if isinstance(item, TaskFailure):
-            report.quarantined.append(index)
-            report.reference_counts["quarantined"] = \
-                report.reference_counts.get("quarantined", 0) + 1
-        else:
-            result = item
-            report.covered = report.covered.union(result.coverage)
-            report.reference_counts[result.label] = \
-                report.reference_counts.get(result.label, 0) + 1
-            if result.coverage.keys() - snapshot.baseline:
-                entry = SeedEntry.from_program(program, seed,
-                                               result.coverage)
-                save_seed(corpus_dir, entry)
-                if entry.name not in seen_new_seeds:
-                    seen_new_seeds.add(entry.name)
-                    report.new_seeds.append(entry.name)
-            findings = [d for d in result.divergences if d.is_finding]
-            if findings:
-                report.finding_hits += len(findings)
-                _, new_bug, new_witness = record_witness(
-                    corpus_dir, result.signature,
-                    _witness_payload(program, findings))
-                if new_bug:
-                    from repro.fuzz.corpus import signature_digest
-                    report.new_bugs.append(
-                        signature_digest(result.signature))
-                report.new_witnesses += int(new_witness)
-        report.processed += 1
-        if progress is not None:
-            progress(report.processed, report)
+    def consume(index: int, program: FuzzProgram,
+                result: CandidateResult) -> str:
+        report.covered = report.covered.union(result.coverage)
+        if result.coverage.keys() - snapshot.baseline:
+            entry = SeedEntry.from_program(program, seed, result.coverage)
+            save_seed(corpus_dir, entry)
+            if entry.name not in report.new_seeds:
+                report.new_seeds.append(entry.name)
+        findings = [d for d in result.divergences if d.is_finding]
+        if findings:
+            report.finding_hits += len(findings)
+            _, new_bug, new_witness = record_witness(
+                corpus_dir, result.signature,
+                _witness_payload(program, findings))
+            if new_bug:
+                from repro.fuzz.corpus import signature_digest
+                report.new_bugs.append(signature_digest(result.signature))
+            report.new_witnesses += int(new_witness)
+        return result.label
 
-    def process_window(begin: int, end: int) -> None:
-        indices = [k for k in range(begin, end)
-                   if k % shard[1] == shard[0]]
-        if not indices:
-            return
-        programs = {k: derive_candidate(seed, k, snapshot)
-                    for k in indices}
-        for k in indices:
-            origin = programs[k][1]
-            report.derived[origin] = report.derived.get(origin, 0) + 1
-        tasks = [(programs[k][0].to_dict(), task_targets, use_cache,
-                  budget, evaluator, classify) for k in indices]
-        for k, item in zip(indices,
-                           parallel_map(_evaluate_candidate, tasks,
-                                        jobs=jobs,
-                                        task_timeout=task_timeout,
-                                        fault_plan=fault_plan, bus=bus)):
-            consume(k, programs[k][0], item)
-
-    cursor = start
-    if time_budget is None:
-        # Fixed-count window: one pool pass over this shard's indices.
-        process_window(start, start + iterations)
-        cursor = start + iterations
-    else:
-        # Chunked window: the cursor only ever lands on chunk
-        # boundaries, so shards that ran the same wall-clock agree on
-        # it (and a shorter shard merely stops at an earlier boundary).
-        chunk = 4 * max(jobs, 1) * shard[1]
-        while True:
-            if iterations is not None and cursor - start >= iterations:
-                break
-            if time.monotonic() - started >= time_budget:
-                break
-            end = cursor + chunk
-            if iterations is not None:
-                end = min(end, start + iterations)
-            process_window(cursor, end)
-            cursor = end
+    cursor, report.derived = run_window(
+        report, _evaluate_candidate, consume, seed=seed,
+        snapshot=snapshot, start=start, iterations=iterations,
+        time_budget=time_budget, shard=shard, targets=targets,
+        budget=budget, classify=classify, jobs=jobs, use_cache=use_cache,
+        evaluator=evaluator, progress=progress, task_timeout=task_timeout,
+        fault_plan=fault_plan, bus=bus)
 
     save_state(corpus_dir, seed, shard, cursor)
     report.next_index = cursor
+    report.processed = sum(report.reference_counts.values())
     report.new_keys = len(report.covered.keys() - snapshot.baseline)
     report.corpus_size = len(load_seed_corpus(corpus_dir))
     report.findings = load_findings(corpus_dir)

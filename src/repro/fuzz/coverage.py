@@ -22,8 +22,8 @@ same Core loop), so coverage is a pure function of the program: two
 step-identical campaigns -- serial or pooled, ``--evaluator core`` or
 ``compiled`` -- observe identical coverage sets.  The same traced
 run also yields the explainer's signature (the campaign's dedup key)
-and the reference outcome, so guidance costs exactly one extra
-reference execution per candidate.
+and the reference outcome, which the oracle classifies against, so
+guidance costs no extra reference execution per candidate.
 """
 
 from __future__ import annotations
@@ -123,11 +123,13 @@ def coverage_from_events(events, outcome=None) -> Coverage:
 class CoverageProbe:
     """Everything one traced reference run yields for the campaign:
     the coverage fingerprint, the explainer's signature (the distinct
-    -bug dedup key), and the reference outcome (``None`` on a crash)."""
+    -bug dedup key), and the reference outcome (``None`` on a crash,
+    with the exception in ``crash``) -- the oracle's reference run."""
 
     coverage: Coverage
     signature: tuple | None
     outcome: object
+    crash: Exception | None = None
 
 
 def coverage_of(program, impl=None,
@@ -138,7 +140,7 @@ def coverage_of(program, impl=None,
     The evaluator pin is the determinism contract (see module
     docstring): callers must *not* thread the campaign's ``--evaluator``
     choice through here.  A crashing reference still yields the
-    coverage of every event up to the crash.
+    coverage of every event up to the crash, and its exception.
     """
     from repro.fuzz.generator import FuzzProgram
     from repro.impls.registry import CERBERUS
@@ -150,13 +152,14 @@ def coverage_of(program, impl=None,
     bus = EventBus()
     recorder = TraceRecorder()
     recorder.attach(bus)
+    outcome = crash = None
     try:
         outcome = impl.run(source, bus=bus, budget=budget,
                            evaluator="core", persist=False)
-    except Exception:                        # noqa: BLE001 - fuzz boundary
-        outcome = None
+    except Exception as exc:                 # noqa: BLE001 - fuzz boundary
+        crash = exc
     events = recorder.events()
     return CoverageProbe(
         coverage=coverage_from_events(events, outcome),
         signature=explaining_signature(events),
-        outcome=outcome)
+        outcome=outcome, crash=crash)

@@ -1,27 +1,35 @@
-"""The fuzzing loop: generate, classify, aggregate, shrink, record.
+"""Blind fuzzing: generate, classify, aggregate, shrink, record.
 
 ``run_fuzz`` is the engine behind ``repro fuzz --seed N --iterations K
---time-budget S``.  Divergences are aggregated into groups keyed by
-(implementation, cause, outcome-kind pair); the first program seen for
-each group is kept as its representative and minimized by the shrinker
-once the generation loop finishes, so **every reported divergence
-carries a minimized program and a cause tag**.  Findings (unexplained
-divergences, interpreter crashes, frontend rejections) additionally
-flip the report's ``ok`` bit and are written to the regression corpus
-when a corpus directory is given.
+--time-budget S``: the campaign engine's corpus-less, unsharded window
+(:func:`repro.fuzz.campaign.run_window`).  Divergences are aggregated
+into groups keyed by (implementation, cause, outcome-kind pair); the
+first program seen for each group is kept as its representative and
+minimized by the shrinker once the window finishes, so **every
+reported divergence carries a minimized program and a cause tag**.
+Findings (unexplained divergences, interpreter crashes, frontend
+rejections) additionally flip the report's ``ok`` bit and are written
+to the regression corpus when a corpus directory is given.
 """
 
 from __future__ import annotations
 
 import pathlib
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.errors import OutcomeKind
+# DEFAULT_ITERATIONS and iteration_seed stay importable from here.
+from repro.fuzz.campaign import (  # noqa: F401
+    DEFAULT_ITERATIONS,
+    FuzzTask,
+    derive_candidate,
+    iteration_seed,
+    reference_label,
+    run_window,
+)
 from repro.fuzz.corpus import CorpusCase, save_case
-from repro.fuzz.generator import FuzzProgram, ProgramGenerator
+from repro.fuzz.generator import FuzzProgram
 from repro.fuzz.oracle import (
     Cause,
     Divergence,
@@ -29,62 +37,25 @@ from repro.fuzz.oracle import (
     FuzzTarget,
     evaluate_program,
 )
-from repro.core.coreeval import set_default_evaluator
 from repro.fuzz.shrinker import shrink
-from repro.perf.cache import set_cache_enabled
-from repro.perf.pool import TaskFailure, parallel_map
 from repro.robust.budget import DEFAULT_FUZZ_BUDGET
-
-#: Default iteration count when neither --iterations nor --time-budget
-#: is given.
-DEFAULT_ITERATIONS = 100
-
-
-def iteration_seed(seed: int, index: int) -> str:
-    """The stable seed for iteration ``index`` of campaign ``seed``.
-
-    A string, not ``hash((seed, index))``: :class:`random.Random` seeds
-    strings through SHA-512, so the derivation is independent of
-    ``PYTHONHASHSEED`` and identical on every platform.  Deriving per
-    iteration (instead of drawing from one sequential stream) makes
-    iteration ``i`` reproducible in isolation -- reordering, skipping,
-    or fanning iterations across workers cannot change what any
-    iteration generates.
-    """
-    return f"{seed}:{index}"
 
 
 def program_for(seed: int, index: int,
                 heap_reuse: bool = False) -> FuzzProgram:
-    """Generate the program of iteration ``index`` in isolation."""
-    rng = random.Random(iteration_seed(seed, index))
-    return ProgramGenerator(rng, heap_reuse=heap_reuse).generate()
+    """Generate the program of iteration ``index`` in isolation: the
+    empty-snapshot case of :func:`~repro.fuzz.campaign.derive_candidate`."""
+    return derive_candidate(seed, index, heap_reuse=heap_reuse)[0]
 
 
-def _evaluate_iteration(task):
-    """Worker body: generate and classify one iteration's program.
+def _evaluate_iteration(task: FuzzTask):
+    """Worker body: classify one blind program.
 
     Top-level and argument-picklable so the worker pool can ship it;
     the serial path runs the identical function in-process.
     """
-    seed, index, targets, use_cache, budget, evaluator, heap_reuse = task
-    if targets is None:
-        # The default target set is module state in every worker;
-        # shipping None instead keeps the per-task pickle payload from
-        # carrying the whole implementation registry.
-        targets = FUZZ_TARGETS
-    if use_cache is not None:
-        # Worker processes apply the campaign's cache switch locally
-        # (the parent's global switch does not travel under spawn).
-        set_cache_enabled(use_cache)
-    if evaluator is not None:
-        # Same per-worker application as the cache switch: the oracle
-        # runs every target through Implementation.run internally, so
-        # the campaign's evaluator choice is installed as the worker's
-        # process default for the duration of the task.
-        set_default_evaluator(evaluator)
-    program = program_for(seed, index, heap_reuse)
-    return program, evaluate_program(program, targets, budget=budget)
+    return evaluate_program(task.program, task.target_set,
+                            budget=task.budget)
 
 
 def _kind_token(described: str) -> str:
@@ -157,15 +128,6 @@ class FuzzReport:
                                      g.impl_name, g.cause.value))
 
 
-def _reference_label(verdict) -> str:
-    outcome = verdict.reference
-    if outcome is None:
-        return "crash"
-    if outcome.kind is OutcomeKind.EXIT:
-        return "exit"
-    return outcome.describe()
-
-
 def _preserves_group(group: DivergenceGroup,
                      targets: tuple[FuzzTarget, ...],
                      signature: tuple | None = None,
@@ -226,12 +188,8 @@ def run_fuzz(seed: int = 0,
     (:func:`iteration_seed`), so ``jobs > 1`` fans candidate evaluation
     across worker processes with results merged in iteration order --
     a parallel run with a fixed ``iterations`` count is bit-identical
-    to the serial one.  A fixed-count campaign is fanned out in **one**
-    pool pass (the pool batches many iterations per task to amortise
-    IPC); under a ``time_budget`` the loop instead evaluates in chunks
-    of ``4 * jobs`` and may overshoot the budget by up to one chunk
-    (and the iteration count then depends on timing, exactly as it
-    does serially).
+    to the serial one.  Under ``time_budget`` it evaluates in chunks
+    (see :func:`~repro.fuzz.campaign.run_window`).
 
     Every run is governed by ``budget`` (default
     :data:`~repro.robust.DEFAULT_FUZZ_BUDGET`, whose axes are all
@@ -249,40 +207,20 @@ def run_fuzz(seed: int = 0,
     makes shrinking of findings additionally preserve the reference
     trace's explaining signature (see :func:`_preserves_group`).
 
-    ``evaluator`` (``core``/``compiled``/``None`` = process default) selects
-    the execution strategy for the whole campaign: it travels inside
-    each task for the workers and is installed as the parent's default
-    for the shrinking/trace phases, so classification, minimisation,
-    and evidence capture all run under the same strategy.
+    ``evaluator`` (``core``/``compiled``/``None`` = process default)
+    and ``use_cache`` become the parent's defaults for the whole run,
+    which the pool initializer ships to every worker, so classification,
+    minimisation, and evidence capture all run under the same settings.
 
     ``heap_reuse`` switches on the generator's free-then-malloc and
     dangling-read statement shapes (``repro fuzz --allocator ...``);
     off by default so the stock program stream is unchanged.
     """
-    if iterations is None and time_budget is None:
-        iterations = DEFAULT_ITERATIONS
-    if evaluator is not None:
-        set_default_evaluator(evaluator)
     report = FuzzReport(seed=seed)
     groups: dict[tuple, DivergenceGroup] = {}
     started = time.monotonic()
 
-    index = 0
-
-    def consume(item) -> None:
-        nonlocal index
-        if isinstance(item, TaskFailure):
-            report.quarantined.append(index)
-            report.reference_counts["quarantined"] = \
-                report.reference_counts.get("quarantined", 0) + 1
-            index += 1
-            if progress is not None:
-                progress(index, report)
-            return
-        program, verdict = item
-        label = _reference_label(verdict)
-        report.reference_counts[label] = \
-            report.reference_counts.get(label, 0) + 1
+    def consume(index: int, program: FuzzProgram, verdict) -> str:
         for div in verdict.divergences:
             key = _group_key(div)
             group = groups.get(key)
@@ -293,46 +231,17 @@ def run_fuzz(seed: int = 0,
                     first_iteration=index, example=program,
                     example_divergence=div)
                 groups[key] = group
+                report.groups.append(group)
             group.count += 1
-        index += 1
-        if progress is not None:
-            progress(index, report)
+        return reference_label(verdict.reference)
 
-    task_targets = None if targets is FUZZ_TARGETS else targets
-
-    if iterations is not None and time_budget is None:
-        # Fixed-count campaign: one pool pass over every iteration.
-        # The pool's chunk grouping batches many iterations per task,
-        # amortising submit/result IPC and executor startup -- chunked
-        # per-round pools here used to cost more than they bought.
-        tasks = [(seed, i, task_targets, use_cache, budget, evaluator,
-                  heap_reuse)
-                 for i in range(iterations)]
-        for item in parallel_map(_evaluate_iteration, tasks, jobs=jobs,
-                                 task_timeout=task_timeout,
-                                 fault_plan=fault_plan, bus=bus):
-            consume(item)
-    else:
-        while True:
-            if iterations is not None and index >= iterations:
-                break
-            if time_budget is not None and \
-                    time.monotonic() - started >= time_budget:
-                break
-            chunk = 1 if jobs <= 1 else 4 * jobs
-            if iterations is not None:
-                chunk = min(chunk, iterations - index)
-            tasks = [(seed, index + k, task_targets, use_cache, budget,
-                      evaluator, heap_reuse)
-                     for k in range(chunk)]
-            for item in parallel_map(_evaluate_iteration, tasks,
-                                     jobs=jobs,
-                                     task_timeout=task_timeout,
-                                     fault_plan=fault_plan, bus=bus):
-                consume(item)
-
-    report.iterations = index
-    report.groups = list(groups.values())
+    report.iterations, _ = run_window(
+        report, _evaluate_iteration, consume, seed=seed,
+        heap_reuse=heap_reuse, iterations=iterations,
+        time_budget=time_budget, targets=targets, budget=budget,
+        jobs=jobs, use_cache=use_cache, evaluator=evaluator,
+        progress=progress, task_timeout=task_timeout,
+        fault_plan=fault_plan, bus=bus)
 
     # Minimize every group's representative (cause-tagged evidence).
     for group in report.groups:

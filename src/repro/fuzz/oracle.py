@@ -210,7 +210,8 @@ def evaluate_program(
         program: FuzzProgram | str,
         targets: tuple[FuzzTarget, ...] = FUZZ_TARGETS, *,
         attach_evidence: bool = True,
-        budget=None) -> ProgramVerdict:
+        budget=None,
+        reference_run: tuple | None = None) -> ProgramVerdict:
     """Run one program everywhere and classify every divergence.
 
     Matched-reference runs are computed lazily (only when a target
@@ -222,6 +223,10 @@ def evaluate_program(
     candidate classifies as ``resource_exhausted`` on every machine
     instead of hanging the campaign.
 
+    ``reference_run`` is the ``(outcome, exception)`` of a global
+    reference run the caller already made (a guided candidate's
+    coverage probe), classified against instead of a fresh run.
+
     When the verdict contains findings and ``attach_evidence`` is on,
     the reference is re-run once with tracing and the explaining event
     of its trace is attached to every finding (the semantic "why"
@@ -229,7 +234,8 @@ def evaluate_program(
     """
     source = program.render() if isinstance(program, FuzzProgram) else program
 
-    reference, ref_crash = _safe_run(CERBERUS, source, budget)
+    reference, ref_crash = reference_run or _safe_run(CERBERUS, source,
+                                                      budget)
     verdict = ProgramVerdict(source=source, reference=reference)
     if ref_crash is not None:
         verdict.divergences.append(Divergence(

@@ -80,19 +80,13 @@ def _check_tag_alignment(model: MemoryModel) -> None:
 
 
 def _check_capability_integrity(model: MemoryModel) -> None:
-    size = model.arch.capability_size
     space = 1 << model.arch.address_width
     allocations = list(model.state.allocations.values())
     for slot, meta in model.state.capmeta.items():
         if not meta.tag or not meta.ghost.is_clean:
             continue
-        data = bytes(model.state.read_byte(slot + i).value or 0
-                     for i in range(size))
-        cap = model.arch.decode(data, True)
+        cap = model.arch.decode(model.state.slot_bytes(slot), True)
         bounds = cap.decoded()
-        if bounds.top > space or bounds.base >= bounds.top and \
-                bounds.base != bounds.top:
-            pass  # zero-length capabilities are fine
         derived_ok = any(
             a.cap_base <= bounds.base and
             bounds.top <= a.cap_base + a.cap_size

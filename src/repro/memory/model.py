@@ -360,14 +360,11 @@ class MemoryModel:
         freed region.  We model the post-sweep state directly: any
         tagged in-memory capability into ``[base, top)`` loses its tag.
         """
-        size = self.arch.capability_size
         cleared = 0
         for slot, meta in self.state.capmeta.items():
             if not meta.tag:
                 continue
-            data = bytes(self.state.read_byte(slot + i).value or 0
-                         for i in range(size))
-            cap = self.arch.decode(data, True)
+            cap = self.arch.decode(self.state.slot_bytes(slot), True)
             bounds = cap.decoded()
             if bounds.base < top and bounds.top > base:
                 meta.tag = False

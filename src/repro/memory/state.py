@@ -227,6 +227,13 @@ class MemState:
             return None
         return bytes(values[off:end]), self._slot_prov[addr]
 
+    def slot_bytes(self, slot: int) -> bytes:
+        """Capability slot ``slot``'s bytes (unspecified bytes read 0)."""
+        stored = self.stored_capability(slot)
+        return stored[0] if stored is not None else bytes(
+            self.read_byte(slot + i).value or 0
+            for i in range(self._cap_size))
+
     def write_plain(self, addr: int, data: bytes) -> None:
         """Store provenance-free bytes: ``AbsByte.plain`` at each address."""
         size = len(data)

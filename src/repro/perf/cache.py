@@ -84,6 +84,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.compile import compile_core as compile_threaded_ir
+from repro.core.coreeval import default_evaluator, set_default_evaluator
 from repro.core.cparser import parse_program
 from repro.core.elaborate import elaborate_program
 from repro.core.optimizer import optimize_program
@@ -226,14 +227,16 @@ class CompileCache:
 
     @staticmethod
     def key_for(impl, source: str) -> tuple:
-        """The compile identity of ``source`` under ``impl``: every
-        configuration axis that can change the compiled program
-        (:data:`repro.impls.config.COMPILE_AXES`), and none of the
-        run-only axes (address map, mode, revocation, allocator policy)
-        -- one compiled program serves every allocator policy, so the
-        policy grid shares these cache layers."""
-        return (source, impl.arch.name, impl.opt_level,
-                impl.subobject_bounds, impl.options)
+        """The compile identity of ``source`` under ``impl``: its
+        value on every :data:`repro.impls.config.COMPILE_AXES` axis
+        (an architecture by name), and none of the run-only axes
+        (address map, mode, revocation, allocator policy) -- one
+        compiled program serves every allocator policy, so the policy
+        grid shares these cache layers."""
+        import repro.impls.config as config     # imports this module
+        return (source, *[impl.arch.name if axis == "arch"
+                          else getattr(impl, axis)
+                          for axis in config.COMPILE_AXES])
 
     def active_disk(self) -> DiskCache | None:
         if self._disk is CompileCache.PROCESS_DISK:
@@ -423,14 +426,23 @@ def configure_disk_cache(enabled: bool | None = None,
 
 
 def disk_cache_config() -> tuple[bool, str | None]:
-    """The (enabled, directory) snapshot shipped to pool workers."""
+    """The disk layer's (enabled, directory) configuration."""
     return (_DISK_ENABLED, _DISK_DIR)
 
 
-def apply_worker_config(config: tuple[bool, str | None]) -> None:
-    """Install a parent's engine configuration in a pool worker."""
-    enabled, directory = config
-    configure_disk_cache(enabled=enabled, directory=directory)
+def engine_config() -> tuple:
+    """What pool workers take from their parent through the initializer
+    (the pool is rebuilt when it changes): the disk layer's settings,
+    the compile-cache switch and the default evaluator."""
+    return (_DISK_ENABLED, _DISK_DIR, _ENABLED, default_evaluator())
+
+
+def apply_worker_config(config: tuple) -> None:
+    """Install a parent's :func:`engine_config` in a pool worker."""
+    disk_enabled, directory, use_cache, evaluator = config
+    configure_disk_cache(enabled=disk_enabled, directory=directory)
+    set_cache_enabled(use_cache)
+    set_default_evaluator(evaluator)
 
 
 def _process_disk() -> DiskCache | None:

@@ -11,12 +11,12 @@ closure tables above it are process-local by design and cheap to
 re-thread from Core).
 
 Addressing is by content, not by name: the entry for a compile is
-``sha256(format version + arch + opt level + subobject mode + options +
-source)``, i.e. exactly the five axes that define compile identity in
-:meth:`CompileCache.key_for` plus the on-disk format version.  Changing
-any axis -- or bumping :data:`DISK_FORMAT_VERSION` when the compiler's
-internals change shape -- lands on a different address, so stale
-entries are never *wrongly* served; they are simply never looked up
+``sha256(format version + every compile axis + source)``, i.e. exactly
+the key that defines compile identity in :meth:`CompileCache.key_for`
+(both follow ``COMPILE_AXES``) plus the on-disk format version.
+Changing any axis -- or bumping :data:`DISK_FORMAT_VERSION` when the
+compiler's internals change shape -- lands on a different address, so
+stale entries are never *wrongly* served; they are simply never looked up
 again (and an old entry that is somehow looked up fails the in-payload
 version/digest check and reads as a miss).
 
@@ -69,20 +69,22 @@ def default_cache_dir() -> pathlib.Path:
 def digest_for(key: tuple) -> str:
     """The content address of one compile-identity key.
 
-    ``key`` is :meth:`CompileCache.key_for`'s five-axis tuple
-    ``(source, arch_name, opt_level, subobject_bounds, options)``.
-    ``repr(options)`` is a frozen dataclass of enums, so it is stable
-    across processes and grows new fields loudly (a new option axis
-    changes every digest -- correct invalidation by construction).
-    Run-only axes (mode, address map, revocation, allocator policy)
-    are deliberately absent: one on-disk entry serves every run
-    configuration, including the whole allocator-policy grid.
+    ``key`` is :meth:`CompileCache.key_for`'s tuple: the source, then
+    one value per :data:`repro.impls.config.COMPILE_AXES` axis.  Each
+    axis value enters the payload as its ``str`` -- for the semantics
+    options a frozen dataclass of enums, stable across processes and
+    growing new fields loudly (a new option axis changes every digest
+    -- correct invalidation by construction).  Run-only axes (mode,
+    address map, revocation, allocator policy) are deliberately
+    absent: one on-disk entry serves every run configuration,
+    including the whole allocator-policy grid.
     """
-    source, arch, opt_level, subobject, options = key
-    payload = "\x00".join((
-        f"v{DISK_FORMAT_VERSION}", arch, str(opt_level), str(subobject),
-        repr(options), source,
-    ))
+    from repro.impls.config import COMPILE_AXES
+    source, *values = key
+    if len(values) != len(COMPILE_AXES):
+        raise ValueError(f"a compile key holds {len(COMPILE_AXES)} axes")
+    payload = "\x00".join((f"v{DISK_FORMAT_VERSION}", *map(str, values),
+                           source))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -114,14 +114,23 @@ def resolve_jobs(jobs: int | None) -> int:
 
 def _init_worker(plan, engine_config=None) -> None:
     """Worker initializer: install the fault plan (tests only) and the
-    parent's engine configuration (disk-cache layer), so a spawned or
-    recycled worker resolves the same shared cache directory as the
-    parent instead of its own defaults."""
+    parent's engine configuration (disk-cache layer, cache switch,
+    default evaluator), so a spawned or recycled worker shares the
+    parent's settings instead of its own defaults."""
     global _WORKER_PLAN
     _WORKER_PLAN = plan
     if engine_config is not None:
         from repro.perf.cache import apply_worker_config
         apply_worker_config(engine_config)
+
+
+def _executor(workers: int, plan=None) -> ProcessPoolExecutor:
+    """A fresh executor whose workers start with ``plan`` and this
+    process's engine configuration."""
+    from repro.perf.cache import engine_config
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context(),
+        initializer=_init_worker, initargs=(plan, engine_config()))
 
 
 def _run_group(fn, pairs):
@@ -181,8 +190,8 @@ class WorkerPool:
 
     Reused across calls so workers stay warm; rebuilt when more workers
     are requested, when the engine configuration changes (workers must
-    share the parent's disk-cache directory), or after it broke (worker
-    death / hang teardown).  Fault-plan runs never touch it.
+    share the parent's cache settings and evaluator), or after it broke
+    (worker death / hang teardown).  Fault-plan runs never touch it.
     """
 
     def __init__(self) -> None:
@@ -193,17 +202,14 @@ class WorkerPool:
     def acquire(self, workers: int) -> ProcessPoolExecutor | None:
         """A warm executor with at least ``workers`` workers, or
         ``None`` when multiprocessing is unusable here."""
-        from repro.perf.cache import disk_cache_config
-        config = disk_cache_config()
+        from repro.perf.cache import engine_config
+        config = engine_config()
         if (self._executor is None or self._workers < workers
                 or self._config != config
                 or getattr(self._executor, "_broken", False)):
             self.shutdown()
             try:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=multiprocessing.get_context(),
-                    initializer=_init_worker, initargs=(None, config))
+                self._executor = _executor(workers)
             except _NO_MULTIPROCESSING:
                 self._executor = None
                 return None
@@ -241,12 +247,9 @@ def _run_isolated(fn, item, index, fault_plan, task_timeout):
     worker died or timed out.  Used for retries, where isolation keeps
     a persistently-crashing item from poisoning its pool-mates.
     """
-    from repro.perf.cache import add_worker_stats, disk_cache_config
+    from repro.perf.cache import add_worker_stats
     try:
-        executor = ProcessPoolExecutor(
-            max_workers=1, mp_context=multiprocessing.get_context(),
-            initializer=_init_worker,
-            initargs=(fault_plan, disk_cache_config()))
+        executor = _executor(1, fault_plan)
     except _NO_MULTIPROCESSING as exc:
         # The item being retried is *known bad* -- its worker already
         # died or hung once.  Running it inline here would let a
@@ -427,13 +430,8 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T],
         # Fault-plan runs get a throwaway executor: injected kills and
         # hangs must never leave a poisoned persistent pool behind, and
         # the plan itself only installs through an initializer.
-        from repro.perf.cache import disk_cache_config
         try:
-            executor = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context(),
-                initializer=_init_worker,
-                initargs=(fault_plan, disk_cache_config()))
+            executor = _executor(workers, fault_plan)
         except _NO_MULTIPROCESSING:
             executor = None
         persistent = False

@@ -138,3 +138,43 @@ def test_no_memo_hit_crosses_a_run_axis(axis, fresh_global_cache):
     variant(axis).run(SOURCE)
     memo = fresh_global_cache.stats.memo
     assert (memo.hits, memo.misses) == (1, 2), axis
+
+
+#: ``digest_for(CompileCache.key_for(impl, SOURCE))`` as published by
+#: the disk layer before both keys were derived from COMPILE_AXES: the
+#: derivation must keep existing disk caches valid.
+PINNED_DIGESTS = {
+    "cerberus":
+        "a4998d0fade8cb7911f0efff1d1c036e04b1aefa11a2e5701b4178a2baac1c5f",
+    "cheriot-O0":
+        "787a777d6a75ea0ade43a7bd841b864a2f3b2c24150791afc0eda04a26583ea1",
+    "clang-morello-O3-subobject-safe":
+        "d80f62a74b3a7d85a894435efca377b6cef359643510fe8dec5dcc48400a6357",
+}
+
+
+def test_disk_digests_are_unchanged():
+    from repro.impls.registry import (
+        CHERIOT_HARDWARE, CLANG_MORELLO_O3_SUBOBJECT,
+    )
+    for impl in (CERBERUS, CHERIOT_HARDWARE, CLANG_MORELLO_O3_SUBOBJECT):
+        assert digest_for(CompileCache.key_for(impl, SOURCE)) == \
+            PINNED_DIGESTS[impl.name], impl.name
+
+
+def test_compile_key_and_digest_follow_compile_axes(monkeypatch):
+    """Both keys are derived from COMPILE_AXES: declaring one more axis
+    (here ``mode``) changes the memo key and the disk digest, with no
+    edit to either."""
+    import repro.impls.config as config
+    base = variant("mode")
+    before = (CompileCache.key_for(CERBERUS, SOURCE),
+              CompileCache.key_for(base, SOURCE))
+    assert before[0] == before[1]
+    monkeypatch.setattr(config, "COMPILE_AXES", COMPILE_AXES + ("mode",))
+    after = (CompileCache.key_for(CERBERUS, SOURCE),
+             CompileCache.key_for(base, SOURCE))
+    assert after[0] != after[1]
+    assert digest_for(after[0]) != digest_for(after[1])
+    with pytest.raises(ValueError):
+        digest_for(before[0])    # a key of the old shape is refused

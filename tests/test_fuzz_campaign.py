@@ -21,6 +21,7 @@ from repro.errors import UndefinedBehaviour
 from repro.fuzz.campaign import (
     CampaignError,
     FRESH_FRACTION,
+    FuzzTask,
     _evaluate_candidate,
     _witness_payload,
     derive_candidate,
@@ -42,13 +43,15 @@ from repro.fuzz.corpus import (
     seeds_dir,
 )
 from repro.fuzz.coverage import Coverage
-from repro.fuzz.driver import program_for
+from repro.fuzz.driver import program_for, run_fuzz
 from repro.fuzz.generator import FuzzProgram, FuzzStmt
 from repro.fuzz.mutate import MAX_STMTS, mutate
-from repro.fuzz.oracle import FuzzTarget
+from repro.fuzz.oracle import Cause, FuzzTarget, evaluate_program
+from repro.impls.config import Implementation
 from repro.impls.faults import FaultyImplementation
 from repro.impls.registry import CERBERUS
 from repro.memory.model import MemoryModel
+from repro.perf.pool import parallel_map
 
 import random
 
@@ -267,7 +270,7 @@ def test_same_ub_two_routes_is_one_bug(tmp_path):
     """The dedup golden: two witnesses, one distinct bug."""
     for program in (ROUTE_INDEX, ROUTE_DEREF):
         result = _evaluate_candidate(
-            (program.to_dict(), CRASHY_TARGETS, None, None, None, True))
+            FuzzTask(program, targets=CRASHY_TARGETS))
         findings = [d for d in result.divergences if d.is_finding]
         assert findings, "engineered route must be a finding"
         assert list(result.signature) == GOLDEN_SIGNATURE
@@ -285,7 +288,7 @@ def test_same_ub_two_routes_is_one_bug(tmp_path):
 
 def test_rerecording_a_witness_is_idempotent(tmp_path):
     result = _evaluate_candidate(
-        (ROUTE_INDEX.to_dict(), CRASHY_TARGETS, None, None, None, True))
+        FuzzTask(ROUTE_INDEX, targets=CRASHY_TARGETS))
     findings = [d for d in result.divergences if d.is_finding]
     payload = _witness_payload(ROUTE_INDEX, findings)
     _, new_bug, new_witness = record_witness(tmp_path, result.signature,
@@ -309,6 +312,107 @@ def test_campaign_records_findings_and_reports_not_ok(tmp_path):
     assert not report.ok
     assert report.new_bugs
     assert load_findings(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# One reference run per guided candidate
+
+
+def _count_reference_runs(monkeypatch) -> list[bool]:
+    """Record, per global-reference run, whether it was traced."""
+    traced: list[bool] = []
+    run = Implementation.run
+
+    def counting(impl, source, *args, **kwargs):
+        if impl.name == CERBERUS.name:
+            traced.append(kwargs.get("bus") is not None)
+        return run(impl, source, *args, **kwargs)
+
+    monkeypatch.setattr(Implementation, "run", counting)
+    return traced
+
+
+def test_guided_candidate_makes_no_untraced_reference_run(monkeypatch):
+    traced = _count_reference_runs(monkeypatch)
+    result = _evaluate_candidate(FuzzTask(ROUTE_DEREF))
+    assert traced == [True], "the coverage probe is the only reference run"
+    assert result.label == "UB UB_CHERI_BoundsViolation"
+
+
+def test_crashing_reference_records_the_same_crash(monkeypatch):
+    """The probe keeps the reference's exception, so the oracle's CRASH
+    divergence reads exactly as when the oracle runs the reference."""
+    def crash(self, ctype, ptr):
+        raise RuntimeError("reference load crashed")
+
+    monkeypatch.setattr(MemoryModel, "load", crash)
+    expected = evaluate_program(ROUTE_INDEX, CRASHY_TARGETS,
+                                attach_evidence=False)
+    result = _evaluate_candidate(FuzzTask(ROUTE_INDEX,
+                                          targets=CRASHY_TARGETS))
+    assert result.label == "crash"
+    assert [d.describe() for d in result.divergences] == \
+        [d.describe() for d in expected.divergences]
+    assert result.divergences[0].cause is Cause.CRASH
+    assert result.divergences[0].observed == \
+        "RuntimeError('reference load crashed')"
+    assert _witness_payload(ROUTE_INDEX, result.divergences) == \
+        _witness_payload(ROUTE_INDEX, expected.divergences)
+
+
+# ---------------------------------------------------------------------------
+# Settings reach pool workers through the initializer
+
+
+def _worker_settings(_item):
+    from repro.core.coreeval import default_evaluator
+    from repro.perf.cache import cache_enabled
+    return default_evaluator(), cache_enabled()
+
+
+@pytest.fixture
+def restored_engine_settings():
+    from repro.core.coreeval import default_evaluator, set_default_evaluator
+    from repro.perf.cache import cache_enabled, set_cache_enabled
+    before = default_evaluator(), cache_enabled()
+    # Warm the persistent pool under the default settings, so the runs
+    # below must rebuild it for their workers to see theirs.
+    parallel_map(_worker_settings, range(4), jobs=2)
+    yield
+    set_default_evaluator(before[0])
+    set_cache_enabled(before[1])
+
+
+SETTINGS = {"evaluator": "core", "use_cache": False}
+
+
+def test_blind_pooled_run_equals_serial(restored_engine_settings):
+    def signature(report):
+        return (report.iterations, report.reference_counts,
+                [g.describe() for g in report.sorted_groups()],
+                sorted(g.minimized_source or "" for g in report.groups))
+
+    pooled = run_fuzz(seed=0, iterations=12, shrink_budget=3, jobs=2,
+                      **SETTINGS)
+    assert set(parallel_map(_worker_settings, range(4), jobs=2)) == \
+        {("core", False)}
+    serial = run_fuzz(seed=0, iterations=12, shrink_budget=3, jobs=1,
+                      **SETTINGS)
+    assert not pooled.quarantined
+    assert signature(pooled) == signature(serial)
+
+
+def test_guided_pooled_window_equals_serial(tmp_path,
+                                            restored_engine_settings):
+    pooled = run_campaign(seed=5, iterations=16, corpus_dir=tmp_path / "p",
+                          jobs=2, **SETTINGS)
+    assert set(parallel_map(_worker_settings, range(4), jobs=2)) == \
+        {("core", False)}
+    serial = run_campaign(seed=5, iterations=16, corpus_dir=tmp_path / "s",
+                          jobs=1, **SETTINGS)
+    assert not pooled.quarantined
+    assert pooled.reference_counts == serial.reference_counts
+    assert _tree(tmp_path / "p") == _tree(tmp_path / "s")
 
 
 # ---------------------------------------------------------------------------
