@@ -180,8 +180,9 @@ class Implementation:
             memo_key = (run_config_key(self), main, budget)
         try:
             if evaluator == "compiled":
+                key = cache.key_for(self, source)
                 outcome, program = cache.tiered(self, source, memo_key,
-                                                persist)
+                                                persist, key)
                 if outcome is not None:
                     return outcome
             elif evaluator == THREADED:
@@ -200,5 +201,5 @@ class Implementation:
         outcome = self.run_compiled(program, main, bus=bus, budget=budget,
                                     faults=faults, evaluator=evaluator)
         if memo_key is not None:
-            cache.memoise(self, source, memo_key, outcome)
+            cache.memoise(self, source, memo_key, outcome, key)
         return outcome

@@ -14,13 +14,17 @@ instead of once per target.
 
 Two in-memory maps and one disk store:
 
-* a *parse* memo keyed by ``(source, arch)`` -- the AST before
-  optimisation, shared across opt levels (AST nodes are frozen
-  dataclasses, so sharing is safe);
+* a *frontend record* per ``(source, arch)``: the AST (or the parse
+  rejection) and, per opt level compiled so far, the elaborated
+  :class:`~repro.core.coreir.CoreProgram` (or the rejection).  The
+  Core program reads only those three axes -- ``subobject_bounds`` and
+  ``options`` change how it runs, not what it is -- so compile keys
+  that differ only there share one optimiser and one elaborator run
+  (AST nodes are frozen and Core ops carry no per-run state);
 * one *entry* per five-axis key (:meth:`CompileCache.key_for`), whose
-  slots fill lazily: the elaborated
-  :class:`~repro.core.coreir.CoreProgram`, the direct-threaded
-  :class:`~repro.core.compile.CompiledProgram` built from it, or the
+  slots fill lazily: the Core program (from the frontend record), the
+  direct-threaded :class:`~repro.core.compile.CompiledProgram` built
+  from it, or the
   frontend or elaboration rejection -- stored once, so a program the
   frontend rejects is rejected once, not once per implementation.
   The entry also carries the *run memo* of the tiered ``compiled``
@@ -44,10 +48,11 @@ Two in-memory maps and one disk store:
   on-disk store of pickled Core programs, keyed by the SHA-256 of the
   same five axes, shared across worker processes **and across CLI
   invocations**.  An entry without a Core program consults it before
-  compiling, and a fresh compile publishes to it, so a warm-started
-  process (or a cold pool worker) performs zero frontend compiles for
-  sources any previous run compiled.  Rejections are never written to
-  disk -- they are cheap to rediscover and memory-cached per process.
+  the frontend record and publishes what it then gets under its own
+  key, so a warm-started process (or a cold pool worker) performs zero
+  frontend compiles for sources any previous run compiled.  Rejections
+  are never written to disk -- they are cheap to rediscover and
+  memory-cached per process.
   Only *persistent* requests touch this layer.  A request made with
   ``persist=False`` -- every fuzz candidate, shrink candidate,
   coverage probe and evidence trace, which are compiled once and
@@ -56,14 +61,15 @@ Two in-memory maps and one disk store:
   The suite, ``repro run`` and corpus replay persist (the default).
 
 ``CompileCache.stats`` (a :class:`CacheStatsSet`) counts six layers:
-``parse`` (the memo), ``core`` and ``threaded`` (an entry's slot was
-already filled, or held a rejection), ``disk``, ``compiled``, which
-counts every optimiser run as a miss and never hits -- the optimised
-AST is not kept, since only elaboration reads it; it stays a layer so
-benchmark traces keep their five compile columns -- and ``memo``: runs
-served from the run memo (hits) and runs executed and stored in it
-(misses).  Pool workers report their counts back with every task group,
-and :func:`add_worker_stats` adds them to the global cache's.
+``parse`` (a frontend record already held the AST or the parse
+rejection), ``core`` and ``threaded`` (an entry's slot was already
+filled, or held a rejection), ``disk``, ``compiled`` -- one miss per
+optimiser run, so per ``(source, arch, opt_level)``, and a hit for
+every entry that took its Core program (or rejection) from the record
+instead -- and ``memo``: runs served from the run memo (hits) and runs
+executed and stored in it (misses).  Pool workers report their counts
+back with every task group, and :func:`add_worker_stats` adds them to
+the global cache's.
 
 Both maps are bounded LRU maps (entries evicted oldest-first), sized
 for a long fuzz campaign without unbounded growth, and are per-process:
@@ -81,7 +87,7 @@ controls only the disk layer.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.compile import compile_core as compile_threaded_ir
 from repro.core.coreeval import default_evaluator, set_default_evaluator
@@ -203,6 +209,18 @@ class _Entry:
     outcomes: dict | None = None
 
 
+@dataclass
+class _Frontend:
+    """What the frontend made of one ``(source, arch)``: the AST or the
+    parse rejection, and for each opt level compiled so far the Core
+    program or the rejection that stopped it."""
+
+    #: The AST, or the CSyntaxError/CTypeError; None before parsing.
+    ast: object = None
+    #: opt_level -> CoreProgram, or the CSyntaxError/CTypeError.
+    cores: dict = field(default_factory=dict)
+
+
 class CompileCache:
     """LRU cache of compiled programs (and frontend rejections).
 
@@ -222,7 +240,7 @@ class CompileCache:
         self.maxsize = maxsize
         self.stats = CacheStatsSet()
         self._disk = disk
-        self._parsed: OrderedDict[tuple, object] = OrderedDict()
+        self._frontend: OrderedDict[tuple, _Frontend] = OrderedDict()
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
 
     @staticmethod
@@ -244,11 +262,11 @@ class CompileCache:
         return self._disk
 
     def entry_counts(self) -> dict[str, int]:
-        """In-memory parse-memo entries, compile entries, the compile
+        """In-memory frontend records, compile entries, the compile
         entries holding a Core or a threaded program, and the outcomes
         in their run memos."""
         entries = self._entries.values()
-        return {"parse": len(self._parsed),
+        return {"parse": len(self._frontend),
                 "entries": len(self._entries),
                 "core": sum(entry.core is not None for entry in entries),
                 "threaded": sum(entry.threaded is not None
@@ -260,7 +278,7 @@ class CompileCache:
         """Drop the in-memory maps and reset stats.  The disk layer is
         shared across processes and deliberately survives -- remove its
         directory to clear it."""
-        self._parsed.clear()
+        self._frontend.clear()
         self._entries.clear()
         self.stats = CacheStatsSet()
 
@@ -285,7 +303,8 @@ class CompileCache:
         key = self.key_for(impl, source)
         return self._threaded(impl, source, key, self._entry(key), persist)
 
-    def tiered(self, impl, source: str, memo_key, persist: bool = True):
+    def tiered(self, impl, source: str, memo_key, persist: bool = True,
+               key: tuple | None = None):
         """One run of ``source`` under ``impl`` by the tiered
         ``compiled`` evaluator (:meth:`Implementation.run
         <repro.impls.config.Implementation.run>`).
@@ -294,9 +313,12 @@ class CompileCache:
         a deterministic run -- is in the entry's run memo (a memo hit),
         and otherwise ``(None, program)`` with the entry's Core
         program, for the Core loop.  Frontend rejections raise as for
-        :meth:`core`.
+        :meth:`core`.  ``key`` is :meth:`key_for` of ``impl`` and
+        ``source`` when the caller has it (and hands it on to
+        :meth:`memoise`), so a run derives its key once.
         """
-        key = self.key_for(impl, source)
+        if key is None:
+            key = self.key_for(impl, source)
         entry = self._entry(key)
         if memo_key is not None and entry.outcomes is not None:
             outcome = entry.outcomes.get(memo_key)
@@ -305,11 +327,15 @@ class CompileCache:
                 return outcome, None
         return None, self._core(impl, source, key, entry, persist)
 
-    def memoise(self, impl, source: str, memo_key, outcome) -> None:
+    def memoise(self, impl, source: str, memo_key, outcome,
+                key: tuple | None = None) -> None:
         """Store the outcome of a deterministic run that
-        :meth:`tiered` could not serve.  An outcome cut off by a host
-        limit (``python-*``) depends on the host, so it is not kept."""
-        entry = self._entries.get(self.key_for(impl, source))
+        :meth:`tiered` could not serve (``key`` as for :meth:`tiered`).
+        An outcome cut off by a host limit (``python-*``) depends on
+        the host, so it is not kept."""
+        if key is None:
+            key = self.key_for(impl, source)
+        entry = self._entries.get(key)
         if entry is None or outcome.limit.startswith("python-"):
             return
         if entry.outcomes is None:
@@ -356,11 +382,8 @@ class CompileCache:
                 self.stats.disk.hits += 1
                 return entry.core
             self.stats.disk.misses += 1
-        self.stats.compiled.misses += 1
         try:
-            program = optimize_program(self._parse(impl, source),
-                                       impl.layout, impl.opt_level)
-            entry.core = elaborate_program(program)
+            entry.core = self._compile(impl, source)
         except (CSyntaxError, CTypeError) as exc:
             entry.error = exc
             raise
@@ -368,19 +391,51 @@ class CompileCache:
             disk.store(key, entry.core)
         return entry.core
 
-    def _parse(self, impl, source: str):
-        pkey = (source, impl.arch.name)
-        program = self._parsed.get(pkey)
-        if program is not None:
-            self._parsed.move_to_end(pkey)
+    def _compile(self, impl, source: str):
+        """The Core program of ``source`` at ``impl``'s (arch,
+        opt_level), from its frontend record or optimised and
+        elaborated into it -- the compile key's other axes do not
+        change it.  Rejections are kept and raised like programs."""
+        record = self._record(impl, source)
+        core = record.cores.get(impl.opt_level)
+        if core is not None:
+            self.stats.compiled.hits += 1
+        else:
+            self.stats.compiled.misses += 1
+            try:
+                program = optimize_program(self._parse(record, impl, source),
+                                           impl.layout, impl.opt_level)
+                core = elaborate_program(program)
+            except (CSyntaxError, CTypeError) as exc:
+                core = exc
+            record.cores[impl.opt_level] = core
+        if isinstance(core, Exception):
+            raise core
+        return core
+
+    def _record(self, impl, source: str) -> _Frontend:
+        fkey = (source, impl.arch.name)
+        record = self._frontend.get(fkey)
+        if record is not None:
+            self._frontend.move_to_end(fkey)
+            return record
+        record = self._frontend[fkey] = _Frontend()
+        while len(self._frontend) > self.maxsize:
+            self._frontend.popitem(last=False)
+        return record
+
+    def _parse(self, record: _Frontend, impl, source: str):
+        if record.ast is None:
+            self.stats.parse.misses += 1
+            try:
+                record.ast = parse_program(source, impl.layout)
+            except (CSyntaxError, CTypeError) as exc:
+                record.ast = exc
+        else:
             self.stats.parse.hits += 1
-            return program
-        self.stats.parse.misses += 1
-        program = parse_program(source, impl.layout)
-        self._parsed[pkey] = program
-        while len(self._parsed) > self.maxsize:
-            self._parsed.popitem(last=False)
-        return program
+        if isinstance(record.ast, Exception):
+            raise record.ast
+        return record.ast
 
 
 _GLOBAL_CACHE = CompileCache()

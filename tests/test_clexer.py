@@ -1,6 +1,7 @@
 """The lexer and its mini-preprocessor."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.clexer import Lexer, tokenize
 from repro.errors import CSyntaxError
@@ -150,3 +151,60 @@ class TestLexerRobustness:
                 parse_program(soup, layout)
             except (CSyntaxError, CTypeError):
                 pass
+
+
+class TestMalformedConstants:
+    """Constants int() cannot read are syntax errors at their line:col."""
+
+    @pytest.mark.parametrize("source,message,col", [
+        ("int x = 08;", "invalid digit '8' in octal constant", 9),
+        ("int x = 0779;", "invalid digit '9' in octal constant", 9),
+        ("int x = 0x;", "hexadecimal constant has no digits", 9),
+        ("int x = 0XuL;", "hexadecimal constant has no digits", 9),
+        ("char c = '\\x';", "\\x used with no following hex digits", 10),
+        ('char *s = "ab\\xZ";', "\\x used with no following hex digits",
+         11),
+        ("int x = \u00b2;", "invalid digit '\u00b2' in constant", 9),
+        ("int x = " + "1" * 5000 + ";",
+         "integer constant has too many digits", 9),
+    ], ids=["octal-8", "octal-9", "hex-empty", "hex-empty-suffix",
+            "char-x", "string-x", "superscript-digit", "too-long"])
+    def test_rejected_at_the_constant(self, source, message, col):
+        with pytest.raises(CSyntaxError) as info:
+            tokenize("\n" + source)
+        assert (info.value.line, info.value.col) == (2, col)
+        assert str(info.value) == f"2:{col}: {message}"
+
+    def test_a_final_zero_is_a_constant(self):
+        # A lone 0 as the last character once read as an unfinished
+        # hexadecimal prefix ("unexpected end of input").
+        toks = tokenize("x = 0")
+        assert (toks[2].kind, toks[2].value, toks[2].base) == ("num", 0, 10)
+
+    def test_run_reports_a_frontend_error(self):
+        from repro.errors import OutcomeKind
+        from repro.impls import CERBERUS
+        outcome = CERBERUS.run("int main(void) { return 08; }\n",
+                               use_cache=False)
+        assert outcome.kind is OutcomeKind.ERROR
+        assert "invalid digit '8' in octal constant" in outcome.detail
+
+
+#: Lexer-shaped fragments: digit runs, hex and octal prefixes, escapes,
+#: quotes, comment and directive openers.
+_FRAGMENTS = st.one_of(
+    st.sampled_from(["\\", "\\x", "0x", "0X", "08", "0", "9", "'", '"',
+                     "#define ", "#", "/*", "*/", "//", ".", "e", "u", "L",
+                     "\n", " ", "\t", "x", "_a", "(", ";", "->", "\u00b2"]),
+    st.from_regex(r"[0-9]{1,12}", fullmatch=True),
+    st.text(alphabet="0123456789abcdefxXuUlL.\\'\"eE ", max_size=6),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_FRAGMENTS, max_size=30).map("".join))
+def test_only_syntax_errors_escape_tokenize(source):
+    try:
+        tokenize(source)
+    except CSyntaxError:
+        pass

@@ -78,11 +78,22 @@ class TestCompileCache:
         assert cache.entry_counts()["entries"] == 2
 
     def test_subobject_key_isolated_from_plain_o3(self):
+        # The two keys may share one Core program (the compiler reads
+        # neither subobject_bounds nor options), but not an entry: two
+        # entries, no core-slot hit, and a run memo each.
+        from repro.impls.config import run_config_key
         cache = CompileCache(disk=None)
         plain = cache.core(CLANG_MORELLO_O3, SOURCE)
-        subobject = cache.core(CLANG_MORELLO_O3_SUBOBJECT, SOURCE)
-        assert subobject is not plain
+        cache.core(CLANG_MORELLO_O3_SUBOBJECT, SOURCE)
+        assert cache.entry_counts()["entries"] == 2
         assert cache.stats.core.hits == 0
+        memo_key = (run_config_key(CLANG_MORELLO_O3), "main", None)
+        outcome = CLANG_MORELLO_O3.run_compiled(plain)
+        cache.memoise(CLANG_MORELLO_O3, SOURCE, memo_key, outcome)
+        assert cache.tiered(CLANG_MORELLO_O3, SOURCE, memo_key)[0] is outcome
+        assert cache.tiered(CLANG_MORELLO_O3_SUBOBJECT, SOURCE,
+                            memo_key)[0] is None
+        assert cache.entry_counts()["memo"] == 1
 
     def test_parse_shared_across_opt_levels(self):
         # O0 and O3 compile to different programs but share the parse.
