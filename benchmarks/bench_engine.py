@@ -201,7 +201,10 @@ def bench_allocator_grid(cases, disk_base):
     ``quarantine`` grids then re-run over the same caches.  Because the
     allocator is a run-only axis (absent from compile/disk keys), the
     whole policy grid must be served from the already-warm compile
-    layers: ``compiles_performed`` must not grow at all.
+    layers: ``compiles_performed`` must not grow at all.  A run that
+    frees nothing is served from its ``bump`` twin's run-memo entry,
+    so ``policy_grid_memo_hits`` and ``policy_grid_runs_executed`` (the
+    memo misses) say how much of the policy grid actually ran.
     """
     from repro.impls import with_allocator
 
@@ -213,6 +216,8 @@ def bench_allocator_grid(cases, disk_base):
         ALL_IMPLEMENTATIONS, cases, jobs=1, use_cache=True))
     timings["bump_s"] = round(t_bump, 4)
     compiles_after_bump = global_cache().stats.compiles_performed
+    memo = global_cache().stats.memo
+    memo_after_bump = (memo.hits, memo.misses)
     for policy in ("freelist", "quarantine"):
         grid = tuple(with_allocator(impl, policy)
                      for impl in ALL_IMPLEMENTATIONS)
@@ -224,6 +229,9 @@ def bench_allocator_grid(cases, disk_base):
     timings["compiles_after_bump"] = compiles_after_bump
     timings["policy_grid_extra_compiles"] = \
         stats.compiles_performed - compiles_after_bump
+    timings["policy_grid_memo_hits"] = stats.memo.hits - memo_after_bump[0]
+    timings["policy_grid_runs_executed"] = \
+        stats.memo.misses - memo_after_bump[1]
     timings["compile_cache"] = stats.to_dict()
     return reports, timings
 

@@ -33,6 +33,16 @@ override (the way ``repro compare --allocator bump`` builds them) must
 be byte-identical to the default renderings -- the default allocator
 axis is inert, so the pre-policy goldens all stand.
 
+And it holds the run memo's cross-policy hits to the reference
+interpreter: the S5 grid over every allocator policy
+(``with_allocator`` over ``ALL_IMPLEMENTATIONS``, one comparison, as
+``repro compare --allocator`` runs it) renders its ``freelist`` and
+``quarantine`` reports byte-identically under ``core`` and the tiered
+``compiled`` evaluator, serially and with a worker pool.  Under
+``compiled`` a run that frees nothing is served from its ``bump``
+twin's memo entry (the policy-blind key), so every such hit meets a
+Core-loop run of its own policy here.
+
 ``FuzzReport.elapsed`` is wall-clock and is the one intentionally
 nondeterministic field in the rendering; it is normalised to zero on
 every report before comparison.
@@ -60,6 +70,9 @@ GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
 #: Every strategy the gate compares: the reference, the tiered default,
 #: and closure dispatch on every run.
 ARMS = EVALUATORS + (THREADED,)
+
+#: The allocator policies that reuse freed heap regions.
+REUSING_POLICIES = ("freelist", "quarantine")
 
 #: Committed fuzz renderings, by (seed, iterations).
 FUZZ_GOLDENS = {(0, 12): "fuzz_seed0.txt", (0, 500): "fuzz_seed0_500.txt"}
@@ -134,6 +147,22 @@ def bump_override_check(seed: int, iterations: int) -> bool:
     return ok
 
 
+def policy_grid_renderings(evaluator: str, jobs: int) -> dict[str, str]:
+    """The S5 compliance report of each reusing allocator policy, from
+    one comparison over the whole policy grid (so a compiled run can be
+    served by another policy's memo entry)."""
+    from repro.impls import with_allocator
+
+    policies = ("bump",) + REUSING_POLICIES
+    grid = tuple(with_allocator(impl, policy)
+                 for policy in policies for impl in ALL_IMPLEMENTATIONS)
+    reports = compare_implementations(grid, jobs=jobs, evaluator=evaluator)
+    width = len(ALL_IMPLEMENTATIONS)
+    return {policy: render_compliance(reports[i * width:(i + 1) * width])
+            for i, policy in enumerate(policies)
+            if policy in REUSING_POLICIES}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Require byte-identical suite and fuzz reports from "
@@ -151,8 +180,13 @@ def main(argv: list[str] | None = None) -> int:
 
     fuzz_golden = FUZZ_GOLDENS.get((args.seed, args.fuzz_iterations))
     ok = True
+    policy_grids = {policy: {} for policy in REUSING_POLICIES}
     for jobs, arm in ((1, "serial"), (args.jobs, f"--jobs {args.jobs}")):
         started = time.monotonic()
+        for evaluator in EVALUATORS:
+            renderings = policy_grid_renderings(evaluator, jobs)
+            for policy, text in renderings.items():
+                policy_grids[policy][f"{evaluator} {arm}"] = text
         ok &= agree(f"S5 compliance report, {arm}", with_golden(
             "compliance.txt",
             {e: suite_rendering(e, jobs) for e in ARMS}))
@@ -164,6 +198,9 @@ def main(argv: list[str] | None = None) -> int:
                                   args.fuzz_iterations)
                 for e in ARMS}))
         print(f"  [{arm} arm: {time.monotonic() - started:.1f}s]")
+    for policy, renderings in policy_grids.items():
+        ok &= agree(f"S5 compliance report, {policy} allocator",
+                    renderings)
     ok &= bump_override_check(args.seed, min(args.fuzz_iterations, 50))
     print("evaluator-differential: "
           + ("PASS" if ok else "FAIL (reports disagree)"))

@@ -24,30 +24,54 @@ from repro.perf.cache import cache_for
 COMPILE_AXES = ("arch", "opt_level", "subobject_bounds", "options")
 
 #: Axes that only affect *running* a compiled program: a compiled
-#: program is valid across all of them (compile caches are shared), but
-#: the run memo must key on every one of them (:func:`run_config_key`).
+#: program is valid across all of them (compile caches are shared), and
+#: the run memo keys on them (:func:`run_config_key`).
 RUN_AXES = ("mode", "address_map", "revocation", "allocator")
+
+#: The run axes a run observes only once it releases a heap region
+#: (:meth:`MemoryModel._release_heap` is their one reader): until then
+#: every allocator policy hands out the same addresses and no
+#: revocation sweep runs.  A run that released nothing is memoised
+#: without them (:func:`memo_keys`).
+RELEASE_AXES = ("revocation", "allocator")
 
 #: Axes with no semantic effect (labels for reports).
 META_AXES = ("name", "description")
 
 
-def run_config_key(impl) -> tuple:
+def run_config_key(impl, released: bool = True) -> tuple:
     """The run configuration of ``impl``, as a memo key: the memory-model
-    class its runs build, then its value on every :data:`RUN_AXES` axis.
+    class its runs build, then its value on every :data:`RUN_AXES` axis
+    -- or, with ``released=False``, on every one but the
+    :data:`RELEASE_AXES` (the *policy-blind* key).
 
     A compiled program is valid across all of these axes (the compile
     caches are deliberately policy-/mode-/map-independent), so the run
     memo (:meth:`repro.perf.cache.CompileCache.tiered`) must key on
-    *every* one of them -- missing one silently aliases outcomes across
-    configurations.  The compile axes are not needed: the memo lives on
-    a compile-cache entry, which fixes them.  The model class matters
-    too: the seeded-fault implementations (:mod:`repro.impls.faults`)
-    share every axis with their clean base and differ only in the
+    every axis a run observed -- missing one silently aliases outcomes
+    across configurations.  A run that released no heap region observed
+    no release axis, so its outcome stands for every value of them.
+    The compile axes are not needed: the memo lives on a compile-cache
+    entry, which fixes them.  The model class matters too: the
+    seeded-fault implementations (:mod:`repro.impls.faults`) share
+    every axis with their clean base and differ only in the
     :class:`MemoryModel` subclass.  The cache-key audit
     (``tests/test_cache_key_audit.py``) checks this derivation.
     """
-    return (impl.model_class, *[getattr(impl, axis) for axis in RUN_AXES])
+    return (impl.model_class,
+            *[getattr(impl, axis) for axis in RUN_AXES
+              if released or axis not in RELEASE_AXES])
+
+
+def memo_keys(impl, main: str = "main", budget=None) -> tuple:
+    """The run memo's two keys for running ``main`` under ``impl`` with
+    ``budget``: the policy-blind key, for a run that released no heap
+    region, then the full key, for one that did.  Two runs that differ
+    only on :data:`RELEASE_AXES` execute identically up to their first
+    release, so for one (configuration, ``main``, budget) at most one
+    of the two is ever stored."""
+    return ((run_config_key(impl, released=False), main, budget),
+            (run_config_key(impl), main, budget))
 
 
 @dataclass(frozen=True)
@@ -99,7 +123,8 @@ class Implementation:
 
     def run_compiled(self, program: CoreProgram, main: str = "main", *,
                      bus=None, budget=None, faults=None,
-                     evaluator: str | None = None) -> Outcome:
+                     evaluator: str | None = None,
+                     _models: list | None = None) -> Outcome:
         """The run stage: interpret a compiled program on a fresh model.
 
         Compiled programs are immutable (Core op lists are only ever
@@ -117,6 +142,8 @@ class Implementation:
         :class:`~repro.robust.FaultPlan`) is given, the run is
         governed: it always terminates with a structured outcome,
         never a hang or a raw ``RecursionError``/``MemoryError``.
+        ``_models`` (for :meth:`run`) receives the run's memory model,
+        whose ``heap_released`` picks the run memo key.
         """
         from repro.core.compile import CompiledEvaluator, CompiledProgram
         meter = None
@@ -124,6 +151,8 @@ class Implementation:
             from repro.robust.budget import BudgetMeter
             meter = BudgetMeter(budget, bus=bus, faults=faults)
         model = self.fresh_model(bus=bus, meter=meter)
+        if _models is not None:
+            _models.append(model)
         if evaluator is None:
             evaluator = default_evaluator()
         else:
@@ -160,9 +189,12 @@ class Implementation:
         budget or one without a ``deadline`` -- is memoised on its
         compile-cache entry by (:func:`run_config_key`, ``main``,
         ``budget``), and an identical repeat returns the stored
-        :class:`Outcome` without executing.  Every other run -- a first
-        run, a traced one, one with a deadline or a fault plan -- takes
-        the Core loop; nothing is threaded.  ``core`` -- the independent
+        :class:`Outcome` without executing.  A run that released no
+        heap region is stored under the policy-blind key
+        (:func:`memo_keys`), so it also serves the same run under every
+        other value of the :data:`RELEASE_AXES`.  Every other run -- a
+        first run, a traced one, one with a deadline or a fault plan --
+        takes the Core loop; nothing is threaded.  ``core`` -- the independent
         reference -- executes every run and never touches the memo;
         ``threaded`` threads every program and runs it by closure
         dispatch, never touching the memo either (the differential
@@ -174,14 +206,14 @@ class Implementation:
         if evaluator is None:
             evaluator = default_evaluator()
         cache = cache_for(use_cache)
-        memo_key = None
+        keys = None
         if (evaluator == "compiled" and bus is None and faults is None
                 and (budget is None or budget.deadline is None)):
-            memo_key = (run_config_key(self), main, budget)
+            keys = memo_keys(self, main, budget)
         try:
             if evaluator == "compiled":
                 key = cache.key_for(self, source)
-                outcome, program = cache.tiered(self, source, memo_key,
+                outcome, program = cache.tiered(self, source, keys,
                                                 persist, key)
                 if outcome is not None:
                     return outcome
@@ -198,8 +230,11 @@ class Implementation:
         except MemoryError:
             return Outcome.resource_exhausted(
                 "python-memory", "host out of memory while compiling")
+        models = []
         outcome = self.run_compiled(program, main, bus=bus, budget=budget,
-                                    faults=faults, evaluator=evaluator)
-        if memo_key is not None:
-            cache.memoise(self, source, memo_key, outcome, key)
+                                    faults=faults, evaluator=evaluator,
+                                    _models=models)
+        if keys is not None:
+            cache.memoise(self, source, keys, outcome,
+                          models[0].heap_released, key)
         return outcome

@@ -115,9 +115,11 @@ class AllocatorPolicy:
 
     The policy name is the value of the ``allocator`` Implementation
     axis.  It is a *run-only* axis: compiled programs are
-    policy-independent (the compile caches are shared across policies),
-    but the run memo keys on it (see
-    :func:`repro.impls.config.run_config_key`).
+    policy-independent (the compile caches are shared across policies).
+    It is also *release-only*: until the first :meth:`release` every
+    policy's reuse pool is empty and :meth:`allocate` bumps the same
+    cursors, so the run memo keys on the policy only for a run that
+    released a heap region (see :func:`repro.impls.config.memo_keys`).
     """
 
     #: The registry key and the value carried on region events.

@@ -129,6 +129,11 @@ class MemoryModel:
         self.subobject_bounds = subobject_bounds
         self.options = options if options is not None else PAPER_CHOICES
         self.revocation = revocation
+        #: Set by the first :meth:`_release_heap`.  Until then neither
+        #: the allocator policy nor ``revocation`` has been read, so the
+        #: run is the same under every value of either (the run memo's
+        #: policy-blind key, :func:`repro.impls.config.memo_keys`).
+        self.heap_released = False
         self.bus = bus
         self.state.allocator.bus = bus
         #: Resource governance (see :mod:`repro.robust`): the allocator
@@ -307,7 +312,13 @@ class MemoryModel:
         block): kill it, return it to the allocator, record the free,
         and sweep stale capabilities when the implementation revokes.
         Revocation is a hardware mechanism; the abstract machine's
-        liveness check (1f) already makes every later use UB."""
+        liveness check (1f) already makes every later use UB.
+
+        This is the one place that reads ``revocation`` and hands a
+        region to the allocator policy (``release``); until it runs,
+        every policy's ``allocate`` bumps the same cursors.  It marks
+        :attr:`heap_released`."""
+        self.heap_released = True
         alloc.alive = False
         self.state.allocator.release(alloc)
         self._emit_free(alloc)

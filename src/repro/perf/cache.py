@@ -32,7 +32,11 @@ Two in-memory maps and one disk store:
   deterministic run -- no bus, no fault plan, no deadline -- keyed by
   (:func:`~repro.impls.config.run_config_key`, ``main``, budget), so
   an identical repeat (a shrinker re-testing a candidate, a minimised
-  program re-evaluated) neither compiles nor executes.  The memo is
+  program re-evaluated) neither compiles nor executes.  The key holds
+  every run axis the run observed: a run that released no heap region
+  never read the release-only axes (revocation, allocator policy), so
+  it is keyed without them and serves every policy
+  (:func:`~repro.impls.config.memo_keys`).  The memo is
   bounded per entry (:data:`MEMO_PER_ENTRY`) and evicted with it.
   Every run the memo does not serve takes the entry's Core program on
   the Core loop, so the default evaluator threads nothing and pays
@@ -205,7 +209,8 @@ class _Entry:
     error: Exception | None = None
     core: object = None
     threaded: object = None
-    #: The run memo: (run configuration, main, budget) -> Outcome.
+    #: The run memo: (run configuration, main, budget) -> Outcome,
+    #: the configuration policy-blind for a run that freed nothing.
     outcomes: dict | None = None
 
 
@@ -303,14 +308,16 @@ class CompileCache:
         key = self.key_for(impl, source)
         return self._threaded(impl, source, key, self._entry(key), persist)
 
-    def tiered(self, impl, source: str, memo_key, persist: bool = True,
+    def tiered(self, impl, source: str, memo_keys, persist: bool = True,
                key: tuple | None = None):
         """One run of ``source`` under ``impl`` by the tiered
         ``compiled`` evaluator (:meth:`Implementation.run
         <repro.impls.config.Implementation.run>`).
 
-        Returns ``(outcome, None)`` when ``memo_key`` -- given only for
-        a deterministic run -- is in the entry's run memo (a memo hit),
+        Returns ``(outcome, None)`` when one of ``memo_keys`` -- the
+        policy-blind and the full key of
+        :func:`~repro.impls.config.memo_keys`, given only for a
+        deterministic run -- is in the entry's run memo (a memo hit),
         and otherwise ``(None, program)`` with the entry's Core
         program, for the Core loop.  Frontend rejections raise as for
         :meth:`core`.  ``key`` is :meth:`key_for` of ``impl`` and
@@ -320,19 +327,22 @@ class CompileCache:
         if key is None:
             key = self.key_for(impl, source)
         entry = self._entry(key)
-        if memo_key is not None and entry.outcomes is not None:
-            outcome = entry.outcomes.get(memo_key)
-            if outcome is not None:
-                self.stats.memo.hits += 1
-                return outcome, None
+        if memo_keys is not None and entry.outcomes is not None:
+            for memo_key in memo_keys:
+                outcome = entry.outcomes.get(memo_key)
+                if outcome is not None:
+                    self.stats.memo.hits += 1
+                    return outcome, None
         return None, self._core(impl, source, key, entry, persist)
 
-    def memoise(self, impl, source: str, memo_key, outcome,
-                key: tuple | None = None) -> None:
-        """Store the outcome of a deterministic run that
-        :meth:`tiered` could not serve (``key`` as for :meth:`tiered`).
-        An outcome cut off by a host limit (``python-*``) depends on
-        the host, so it is not kept."""
+    def memoise(self, impl, source: str, memo_keys, outcome,
+                released: bool, key: tuple | None = None) -> None:
+        """Store the outcome of a deterministic run that :meth:`tiered`
+        could not serve (``memo_keys`` and ``key`` as for
+        :meth:`tiered`): under the full key when the run ``released`` a
+        heap region, and otherwise under the policy-blind key.  An
+        outcome cut off by a host limit (``python-*``) depends on the
+        host, so it is not kept."""
         if key is None:
             key = self.key_for(impl, source)
         entry = self._entries.get(key)
@@ -343,7 +353,7 @@ class CompileCache:
         elif len(entry.outcomes) >= MEMO_PER_ENTRY:
             return
         self.stats.memo.misses += 1
-        entry.outcomes[memo_key] = outcome
+        entry.outcomes[memo_keys[1] if released else memo_keys[0]] = outcome
 
     def _threaded(self, impl, source: str, key: tuple, entry: _Entry,
                   persist: bool):

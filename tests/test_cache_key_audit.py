@@ -8,7 +8,10 @@ configuration key and must NOT fragment the compile layers), or
 ``META_AXES`` (labels).  This test enforces the partition *by
 reflection*: adding a new Implementation field without sorting it into
 an axis tuple -- or sorting it into one the caches don't honour --
-fails here, not as a silent stale-cache bug.
+fails here, not as a silent stale-cache bug.  The ``RELEASE_AXES``
+subset of the run axes is observable only once a run releases a heap
+region, so a run that released nothing is memoised under a key
+without them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.impls import (
     COMPILE_AXES, META_AXES, RUN_AXES, CERBERUS, Implementation,
     with_allocator,
 )
-from repro.impls.config import run_config_key
+from repro.impls.config import RELEASE_AXES, memo_keys, run_config_key
 from repro.impls.faults import FAULTS
 from repro.impls.registry import CHERIOT_MAP
 from repro.memory.model import MemoryModel, Mode
@@ -31,6 +34,21 @@ from repro.perf.cache import CompileCache
 from repro.perf.disk import digest_for
 
 SOURCE = "int main(void) { return 0; }"
+
+#: Programs that release a heap region, each way a run can.
+FREEING_SOURCES = (
+    "#include <stdlib.h>\n"
+    "int main(void) { char *p = malloc(8); free(p); return 0; }",
+    "#include <stdlib.h>\n"
+    "int main(void) { char *p = malloc(8); p = realloc(p, 64);\n"
+    "  return p == 0; }",
+)
+
+#: A program that allocates on the heap and frees nothing.
+HOLDING_SOURCE = (
+    "#include <stdlib.h>\n"
+    "int main(void) { char *p = malloc(8); char *q = malloc(8);\n"
+    "  p[0] = 1; q[0] = 2; return p[0] + q[0]; }")
 
 #: One alternate value per semantic axis, each differing from
 #: CERBERUS's value on that axis.  A new axis must be added here (and
@@ -103,11 +121,22 @@ def test_run_config_key_is_stable_for_equal_configurations():
 def test_run_config_key_is_the_model_class_then_every_run_axis():
     """The memo key's run part is derived from RUN_AXES -- one value
     per axis, in order, after the model class -- so a new run axis
-    reaches the memo without anyone editing the key."""
+    reaches the memo without anyone editing the key.  The policy-blind
+    key is the same derivation over the run axes outside
+    RELEASE_AXES, and memo_keys pairs the two with ``main`` and the
+    budget."""
+    assert set(RELEASE_AXES) < set(RUN_AXES)
     for impl in (CERBERUS, variant("allocator"), *FAULTS.values()):
         assert run_config_key(impl) == (
             type(impl.fresh_model()),
             *(getattr(impl, axis) for axis in RUN_AXES))
+        assert run_config_key(impl, released=False) == (
+            type(impl.fresh_model()),
+            *(getattr(impl, axis) for axis in RUN_AXES
+              if axis not in RELEASE_AXES))
+        assert memo_keys(impl, "f", None) == (
+            (run_config_key(impl, released=False), "f", None),
+            (run_config_key(impl), "f", None))
     assert run_config_key(CERBERUS)[0] is MemoryModel
 
 
@@ -131,13 +160,38 @@ def test_compile_axes_stay_out_of_the_run_config_key():
 
 @pytest.mark.parametrize("axis", RUN_AXES)
 def test_no_memo_hit_crosses_a_run_axis(axis, fresh_global_cache):
-    """End to end: a memoised run under CERBERUS never serves the same
-    program under a variant that differs on one run axis."""
-    CERBERUS.run(SOURCE)
-    CERBERUS.run(SOURCE)            # a hit: the memo is live
-    variant(axis).run(SOURCE)
-    memo = fresh_global_cache.stats.memo
-    assert (memo.hits, memo.misses) == (1, 2), axis
+    """End to end: a memoised run under one configuration never serves
+    the same program under a variant that differs on one run axis --
+    in either order.  A release axis is observable only once a run
+    releases a heap region, so for those the programs free (or
+    realloc); the other axes are checked on those and on a program
+    that frees nothing."""
+    sources = FREEING_SOURCES
+    if axis not in RELEASE_AXES:
+        sources += (SOURCE, HOLDING_SOURCE)
+    for source in sources:
+        for first, second in ((CERBERUS, variant(axis)),
+                              (variant(axis), CERBERUS)):
+            fresh_global_cache.clear()
+            first.run(source)
+            first.run(source)           # a hit: the memo is live
+            second.run(source)
+            memo = fresh_global_cache.stats.memo
+            assert (memo.hits, memo.misses) == (1, 2), (axis, source)
+
+
+@pytest.mark.parametrize("axis", RELEASE_AXES)
+def test_a_run_that_frees_nothing_is_served_across_a_release_axis(
+        axis, fresh_global_cache):
+    """The policy-blind key: a run that released no heap region serves
+    the variant, with the outcome the reference Core loop gives it."""
+    for source in (SOURCE, HOLDING_SOURCE):
+        fresh_global_cache.clear()
+        CERBERUS.run(source)
+        served = variant(axis).run(source)
+        memo = fresh_global_cache.stats.memo
+        assert (memo.hits, memo.misses) == (1, 1), source
+        assert served == variant(axis).run(source, evaluator="core")
 
 
 #: ``digest_for(CompileCache.key_for(impl, SOURCE))`` as published by

@@ -25,7 +25,7 @@ import repro.perf.cache as cache_module
 from repro.core.coreir import render_core
 from repro.errors import CSyntaxError
 from repro.impls import ALL_IMPLEMENTATIONS
-from repro.impls.config import run_config_key
+from repro.impls.config import memo_keys
 from repro.impls.registry import (
     CERBERUS,
     CERBERUS_PERMISSIVE,
@@ -169,5 +169,5 @@ def test_one_key_per_memoised_run(monkeypatch):
     CERBERUS.run(SOURCE)                        # memo hit
     assert cache.stats.memo.misses == cache.stats.memo.hits == 1
     assert len(calls) == 2
-    memo_key = (run_config_key(CERBERUS), "main", None)
-    assert cache.tiered(CERBERUS, SOURCE, memo_key)[0] is not None
+    assert cache.tiered(CERBERUS, SOURCE, memo_keys(CERBERUS))[0] \
+        is not None

@@ -81,18 +81,18 @@ class TestCompileCache:
         # The two keys may share one Core program (the compiler reads
         # neither subobject_bounds nor options), but not an entry: two
         # entries, no core-slot hit, and a run memo each.
-        from repro.impls.config import run_config_key
+        from repro.impls.config import memo_keys
         cache = CompileCache(disk=None)
         plain = cache.core(CLANG_MORELLO_O3, SOURCE)
         cache.core(CLANG_MORELLO_O3_SUBOBJECT, SOURCE)
         assert cache.entry_counts()["entries"] == 2
         assert cache.stats.core.hits == 0
-        memo_key = (run_config_key(CLANG_MORELLO_O3), "main", None)
+        keys = memo_keys(CLANG_MORELLO_O3)
         outcome = CLANG_MORELLO_O3.run_compiled(plain)
-        cache.memoise(CLANG_MORELLO_O3, SOURCE, memo_key, outcome)
-        assert cache.tiered(CLANG_MORELLO_O3, SOURCE, memo_key)[0] is outcome
+        cache.memoise(CLANG_MORELLO_O3, SOURCE, keys, outcome, False)
+        assert cache.tiered(CLANG_MORELLO_O3, SOURCE, keys)[0] is outcome
         assert cache.tiered(CLANG_MORELLO_O3_SUBOBJECT, SOURCE,
-                            memo_key)[0] is None
+                            keys)[0] is None
         assert cache.entry_counts()["memo"] == 1
 
     def test_parse_shared_across_opt_levels(self):
@@ -400,16 +400,16 @@ class TestRunMemoSoundness:
 
     def test_the_memo_goes_with_its_evicted_entry(self):
         from repro.perf.cache import CompileCache
-        from repro.impls.config import run_config_key
+        from repro.impls.config import memo_keys
         cache = CompileCache(maxsize=1, disk=None)
-        memo_key = (run_config_key(CERBERUS), "main", None)
-        _, program = cache.tiered(CERBERUS, SOURCE, memo_key)
+        keys = memo_keys(CERBERUS)
+        _, program = cache.tiered(CERBERUS, SOURCE, keys)
         outcome = CERBERUS.run_compiled(program)
-        cache.memoise(CERBERUS, SOURCE, memo_key, outcome)
-        assert cache.tiered(CERBERUS, SOURCE, memo_key)[0] is outcome
+        cache.memoise(CERBERUS, SOURCE, keys, outcome, False)
+        assert cache.tiered(CERBERUS, SOURCE, keys)[0] is outcome
         cache.core(CERBERUS, "int main(void) { return 1; }\n")  # evicts
         assert cache.entry_counts()["memo"] == 0
-        assert cache.tiered(CERBERUS, SOURCE, memo_key)[0] is None
+        assert cache.tiered(CERBERUS, SOURCE, keys)[0] is None
 
 
 class TestMetricsUnderJobs:
