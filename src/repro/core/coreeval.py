@@ -665,7 +665,7 @@ class CoreEvaluator:
 
     def integer_promote(self, value: MVInteger) -> MVInteger:
         kind = value.ctype.kind  # type: ignore[union-attr]
-        if self.layout.rank(kind) < self.layout.rank(IKind.INT):
+        if self.layout.promoted(kind) is not kind:
             return MVInteger(INT, IntegerValue.of_int(
                 self.layout.wrap(IKind.INT, value.ival.value())))
         return value
@@ -678,22 +678,9 @@ class CoreEvaluator:
         rk = rhs.ctype.kind  # type: ignore[union-attr]
         if lk == rk:
             return lhs, rhs
-        common = self._common_kind(lk, rk)
+        common = self.layout.common_kind(lk, rk)
         return (self._convert_int(lhs, Integer(common)),
                 self._convert_int(rhs, Integer(common)))
-
-    def _common_kind(self, lk: IKind, rk: IKind) -> IKind:
-        lr, rr = self.layout.rank(lk), self.layout.rank(rk)
-        if lr == rr:
-            # Same rank: unsigned wins.
-            return lk if not lk.is_signed else rk
-        hi, lo = (lk, rk) if lr > rr else (rk, lk)
-        if not hi.is_signed:
-            return hi
-        if self.layout.int_max(hi) >= self.layout.int_max(lo):
-            return hi
-        # Signed type cannot represent the unsigned one: unsigned version.
-        return _unsigned_of(hi)
 
     def _convert_int(self, value: MVInteger, to: Integer) -> MVInteger:
         ival = value.ival
@@ -787,14 +774,6 @@ class CoreEvaluator:
                                      f"use of unspecified integer "
                                      f"(line {line})")
         raise CTypeError(f"expected an integer, found {value.ctype}")
-
-
-def _unsigned_of(kind: IKind) -> IKind:
-    return {
-        IKind.INT: IKind.UINT, IKind.LONG: IKind.ULONG,
-        IKind.LLONG: IKind.ULLONG, IKind.INTPTR: IKind.UINTPTR,
-        IKind.PTRDIFF: IKind.SIZE,
-    }.get(kind, kind)
 
 
 def _c_div(a: int, b: int) -> int:

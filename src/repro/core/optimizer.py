@@ -20,7 +20,13 @@ the simulated Clang/GCC implementations (:mod:`repro.impls`) reproduce
 the divergences the paper narrates.  It is intentionally not a general
 optimiser: each pass is the minimal sound-looking rewrite a real compiler
 performs, applied at the optimisation levels the paper associates with
-it.
+it.  Every pass may exploit undefined behaviour but never changes what
+a defined program does.
+
+All passes walk the AST through one table, :data:`_CHILDREN` (node type
+-> child fields in evaluation order), and three functions over it:
+:func:`_map` (bottom-up, copy-on-change), :func:`_map_trees` (each whole
+expression of a statement) and :func:`_nodes` (read-only iteration).
 
 The passes are *bridged* over the Core IR rather than re-expressed on
 it: the pipeline is parse -> optimise (here, on the typed AST) ->
@@ -33,7 +39,10 @@ reasoning, which is exactly what the AST form expresses.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import replace
+from itertools import count
 from operator import is_
 
 from repro.core.cast import (
@@ -42,8 +51,12 @@ from repro.core.cast import (
     InitList, IntLit, Member, OffsetofExpr, Program, Return,
     SizeofType, Stmt, Switch, Unary, VaArg, While,
 )
+from repro.core.coreeval import _c_div, _c_mod
 from repro.ctypes.layout import TargetLayout
-from repro.ctypes.types import ArrayT, Void
+from repro.ctypes.types import (
+    ArrayT, CType, IKind, INT, Integer, Pointer, SIZE_T, Void, strip_const,
+)
+from repro.errors import CTypeError
 
 
 def optimize_program(program: Program, layout: TargetLayout,
@@ -53,20 +66,19 @@ def optimize_program(program: Program, layout: TargetLayout,
         return program
     # Escape analysis runs on the source program: substitution duplicates
     # address-of expressions, which must not count as extra escapes.
-    escape_counts = {f.name: _count_ident_uses(f)
+    escape_counts = {f.name: _address_uses(f)
                      for f in program.functions if f.body is not None}
     program = _map_functions(program, lambda f: _fold_function(f, layout))
     if level >= 2:
         program = _inline_small_calls(program)
         # Pattern passes run before forward substitution, which rewrites
         # identifier-based patterns into substituted expressions.
-        program = _map_functions(program, _eliminate_identity_writes)
-        program = _map_functions(program, lambda f: _loops_to_memcpy(f, layout))
+        program = _map_functions(
+            program, lambda f: _rewrite_byte_copies(f, layout))
         program = _map_functions(
             program, lambda f: _substitute_and_fold(f, layout))
-        program = _map_functions(program, _assume_in_bounds)
         program = _map_functions(
-            program, lambda f: _eliminate_doomed_writes(
+            program, lambda f: _assume_no_ub(
                 f, level, escape_counts.get(f.name, {})))
         program = _map_functions(program, lambda f: _fold_function(f, layout))
     return program
@@ -86,6 +98,27 @@ def _map_functions(program: Program, fn) -> Program:
 # are shared between the input and the output.  That sharing is safe
 # because AST nodes are frozen -- nothing downstream mutates them.
 # ---------------------------------------------------------------------------
+
+
+#: Each node type's child fields, in evaluation order.  A field holds a
+#: node, ``None`` or a tuple of nodes.  Unlisted types are leaves --
+#: ``sizeof expr`` among them, since its operand is never evaluated.
+_CHILDREN: dict[type, tuple[str, ...]] = {
+    Unary: ("operand",), Cast: ("operand",), Member: ("base",),
+    Binary: ("lhs", "rhs"), Comma: ("lhs", "rhs"),
+    Assign: ("target", "value"), Index: ("base", "index"),
+    Conditional: ("cond", "then", "other"),
+    Call: ("func", "args"), VaArg: ("ap",), InitList: ("items",),
+    ExprStmt: ("expr",), DeclStmt: ("decls",), Declarator: ("init",),
+    Block: ("stmts",), If: ("cond", "then", "other"),
+    While: ("cond", "body"), For: ("init", "cond", "body", "step"),
+    Switch: ("cond", "stmts"), Return: ("value",), FuncDef: ("body",),
+}
+
+#: What substitution rewrites: not a callee expression (a call through
+#: a function pointer stays a call through that pointer) nor the
+#: ``va_list`` that ``va_arg`` advances in place.
+_SUBSTITUTED = {**_CHILDREN, Call: ("args",), VaArg: ()}
 
 
 def _rebuild(node, **children):
@@ -110,91 +143,88 @@ def _map_all(items: tuple, fn) -> tuple:
     return _tuple_of(map(fn, items), items)
 
 
-def _map_expr(expr: Expr | None, fn) -> Expr | None:
-    """Bottom-up expression rewrite."""
-    if expr is None:
-        return None
-    if isinstance(expr, (Unary, Cast)):
-        expr = _rebuild(expr, operand=_map_expr(expr.operand, fn))
-    elif isinstance(expr, (Binary, Comma)):
-        expr = _rebuild(expr, lhs=_map_expr(expr.lhs, fn),
-                        rhs=_map_expr(expr.rhs, fn))
-    elif isinstance(expr, Assign):
-        expr = _rebuild(expr, target=_map_expr(expr.target, fn),
-                        value=_map_expr(expr.value, fn))
-    elif isinstance(expr, Conditional):
-        expr = _rebuild(expr, cond=_map_expr(expr.cond, fn),
-                        then=_map_expr(expr.then, fn),
-                        other=_map_expr(expr.other, fn))
-    elif isinstance(expr, Call):
-        expr = _rebuild(expr, func=_map_expr(expr.func, fn),
-                        args=_map_all(expr.args,
-                                      lambda a: _map_expr(a, fn)))
-    elif isinstance(expr, Index):
-        expr = _rebuild(expr, base=_map_expr(expr.base, fn),
-                        index=_map_expr(expr.index, fn))
-    elif isinstance(expr, Member):
-        expr = _rebuild(expr, base=_map_expr(expr.base, fn))
-    elif isinstance(expr, InitList):
-        expr = _rebuild(expr, items=_map_all(
-            expr.items, lambda i: _map_expr(i, fn)))
-    elif isinstance(expr, VaArg):
-        expr = _rebuild(expr, ap=_map_expr(expr.ap, fn))
-    return fn(expr)
+def _map_children(node, fn, children=_CHILDREN):
+    """``node`` with ``fn`` applied to each child it holds."""
+    changed = None
+    for name in children.get(type(node), ()):
+        old = getattr(node, name)
+        if old is None:
+            continue
+        new = _map_all(old, fn) if type(old) is tuple else fn(old)
+        if new is not old:
+            if changed is None:
+                changed = {}
+            changed[name] = new
+    return node if changed is None else replace(node, **changed)
 
 
-def _map_stmt(stmt: Stmt | None, expr_fn, stmt_fn=None) -> Stmt | None:
-    if stmt is None:
-        return None
+def _map(node, expr_fn=None, stmt_fn=None):
+    """Bottom-up rewrite: each expression through ``expr_fn`` and each
+    statement through ``stmt_fn``, after its children.  Without
+    ``expr_fn`` no expression is entered (none holds a statement)."""
+    def walk(n):
+        if isinstance(n, Expr):
+            return n if expr_fn is None else expr_fn(_map_children(n, walk))
+        n = _map_children(n, walk)
+        return n if stmt_fn is None or not isinstance(n, Stmt) else stmt_fn(n)
 
-    def sub(s: Stmt | None) -> Stmt | None:
-        return _map_stmt(s, expr_fn, stmt_fn)
-
-    if isinstance(stmt, ExprStmt):
-        stmt = _rebuild(stmt, expr=_map_expr(stmt.expr, expr_fn))
-    elif isinstance(stmt, DeclStmt):
-        stmt = _rebuild(stmt, decls=_map_all(
-            stmt.decls,
-            lambda d: _rebuild(d, init=_map_expr(d.init, expr_fn))))
-    elif isinstance(stmt, Block):
-        stmt = _rebuild(stmt, stmts=_map_all(stmt.stmts, sub))
-    elif isinstance(stmt, If):
-        stmt = _rebuild(stmt, cond=_map_expr(stmt.cond, expr_fn),
-                        then=sub(stmt.then), other=sub(stmt.other))
-    elif isinstance(stmt, While):
-        stmt = _rebuild(stmt, cond=_map_expr(stmt.cond, expr_fn),
-                        body=sub(stmt.body))
-    elif isinstance(stmt, For):
-        stmt = _rebuild(stmt, init=sub(stmt.init),
-                        cond=_map_expr(stmt.cond, expr_fn),
-                        step=_map_expr(stmt.step, expr_fn),
-                        body=sub(stmt.body))
-    elif isinstance(stmt, Switch):
-        stmt = _rebuild(stmt, cond=_map_expr(stmt.cond, expr_fn),
-                        stmts=_map_all(stmt.stmts, sub))
-    elif isinstance(stmt, Return):
-        stmt = _rebuild(stmt, value=_map_expr(stmt.value, expr_fn))
-    if stmt_fn is not None:
-        stmt = stmt_fn(stmt)
-    return stmt
+    return walk(node)
 
 
-def _walk_exprs(node) -> list[Expr]:
-    """Flat list of all expressions under a statement/expression.
+def _map_trees(node, fn):
+    """``fn`` applied to each whole expression in a statement."""
+    def walk(n):
+        return fn(n) if isinstance(n, Expr) else _map_children(n, walk)
 
-    Read-only: the collecting callback returns every node unchanged,
-    so the copy-on-change walkers rebuild nothing."""
-    found: list[Expr] = []
+    return walk(node)
 
-    def collect(e: Expr) -> Expr:
-        found.append(e)
-        return e
 
-    if isinstance(node, Stmt):
-        _map_stmt(node, collect)
+def _nodes(node):
+    """``node`` and every node under it, read-only, in no fixed order."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        for name in _CHILDREN.get(type(node), ()):
+            child = getattr(node, name)
+            if type(child) is tuple:
+                stack.extend(child)
+            elif child is not None:
+                stack.append(child)
+
+
+def _written_name(expr) -> str | None:
+    """The variable an assignment or ``++``/``--`` stores to directly."""
+    if isinstance(expr, Assign):
+        target = expr.target
+    elif isinstance(expr, Unary) and expr.op in ("++", "--"):
+        target = expr.operand
     else:
-        _map_expr(node, collect)
-    return found
+        return None
+    return target.name if isinstance(target, Ident) else None
+
+
+def _addressed_name(expr) -> str | None:
+    """``x`` for ``&x``."""
+    if isinstance(expr, Unary) and expr.op == "&" and \
+            isinstance(expr.operand, Ident):
+        return expr.operand.name
+    return None
+
+
+def _names_written(node) -> set[str]:
+    return {name for n in _nodes(node)
+            if (name := _written_name(n)) is not None}
+
+
+def _names_declared(node) -> set[str]:
+    return {n.name for n in _nodes(node) if isinstance(n, Declarator)}
+
+
+def _address_uses(node) -> Counter:
+    """How often each variable has its address taken."""
+    return Counter(name for n in _nodes(node)
+                   if (name := _addressed_name(n)) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -203,58 +233,89 @@ def _walk_exprs(node) -> list[Expr]:
 
 
 def _fold_function(fdef: FuncDef, layout: TargetLayout) -> FuncDef:
-    def fold(expr: Expr) -> Expr:
-        return _fold_expr(expr, layout)
-
-    return _rebuild(fdef, body=_map_stmt(fdef.body, fold))
+    return _map(fdef, lambda expr: _fold_expr(expr, layout))
 
 
 def _fold_expr(expr: Expr, layout: TargetLayout) -> Expr:
     """One step of bottom-up folding (children already folded)."""
     if isinstance(expr, SizeofType):
         try:
-            return IntLit(value=layout.sizeof(expr.ctype), line=expr.line)
-        except Exception:
+            return IntLit(value=layout.sizeof(expr.ctype), ctype=SIZE_T,
+                          line=expr.line)
+        except CTypeError:
             return expr
     if isinstance(expr, Binary) and isinstance(expr.lhs, IntLit) \
             and isinstance(expr.rhs, IntLit):
-        a, b = expr.lhs.value, expr.rhs.value
-        table = {"+": a + b, "-": a - b, "*": a * b,
-                 "&": a & b, "|": a | b, "^": a ^ b,
-                 "<<": a << b if 0 <= b < 64 else None,
-                 ">>": a >> b if 0 <= b < 64 else None,
-                 "/": None if b == 0 else int(a / b) if b else None,
-                 "%": None if b == 0 else a - int(a / b) * b,
-                 "==": int(a == b), "!=": int(a != b),
-                 "<": int(a < b), ">": int(a > b),
-                 "<=": int(a <= b), ">=": int(a >= b)}
-        result = table.get(expr.op)
-        if result is not None:
-            return IntLit(value=result, ctype=expr.lhs.ctype, line=expr.line)
+        return _fold_arith(expr, expr.op, expr.lhs, expr.rhs, layout)
     if isinstance(expr, Unary) and expr.op == "-" \
             and isinstance(expr.operand, IntLit):
-        return IntLit(value=-expr.operand.value,
-                      ctype=expr.operand.ctype, line=expr.line)
+        return _fold_arith(expr, "-", replace(expr.operand, value=0),
+                           expr.operand, layout)
     # Transient-arithmetic collapsing (S3.2/S3.3): (e + c1) - c2 and
     # (e - c1) + c2 reassociate to a single offset, eliminating any
-    # excursion into non-representability.
+    # excursion into non-representability.  Both constants must have
+    # one type, which the offset keeps: then ``e`` converts as before.
     if isinstance(expr, Binary) and expr.op in ("+", "-") \
             and isinstance(expr.rhs, IntLit) \
             and isinstance(expr.lhs, Binary) \
             and expr.lhs.op in ("+", "-") \
             and isinstance(expr.lhs.rhs, IntLit):
+        kind = _literal_kind(expr.rhs)
         inner = expr.lhs.rhs.value if expr.lhs.op == "+" \
             else -expr.lhs.rhs.value
         outer = expr.rhs.value if expr.op == "+" else -expr.rhs.value
         total = inner + outer
-        if total >= 0:
-            return Binary(op="+", lhs=expr.lhs.lhs,
-                          rhs=IntLit(value=total, line=expr.line),
-                          line=expr.line)
-        return Binary(op="-", lhs=expr.lhs.lhs,
-                      rhs=IntLit(value=-total, line=expr.line),
+        if kind is not _literal_kind(expr.lhs.rhs) \
+                or not layout.in_range(kind, abs(total)):
+            return expr
+        return Binary(op="+" if total >= 0 else "-", lhs=expr.lhs.lhs,
+                      rhs=IntLit(value=abs(total), ctype=expr.rhs.ctype,
+                                 line=expr.line),
                       line=expr.line)
     return expr
+
+
+def _fold_arith(expr: Expr, op: str, lhs: IntLit, rhs: IntLit,
+                layout: TargetLayout) -> Expr:
+    """``lhs op rhs`` as C computes it: shifts promote the left operand,
+    everything else takes the usual arithmetic conversions, unsigned
+    results wrap.  What C leaves undefined -- a signed result out of
+    range, a bad shift count, division by zero -- stays unfolded, for
+    the program to meet when it runs."""
+    lk = _literal_kind(lhs)
+    kind = layout.promoted(lk)
+    if op not in ("<<", ">>"):
+        kind = layout.common_kind(kind, layout.promoted(_literal_kind(rhs)))
+    a, b = layout.wrap(kind, lhs.value), rhs.value
+    if op in ("<<", ">>"):
+        if not 0 <= b < layout.value_width(kind):
+            return expr
+        result = a << b if op == "<<" else a >> b
+    else:
+        b = layout.wrap(kind, b)
+        if op in _COMPARE:
+            return IntLit(value=int(_COMPARE[op](a, b)), ctype=INT,
+                          line=expr.line)
+        if op in ("/", "%") and b == 0 or op not in _ARITH:
+            return expr
+        result = _ARITH[op](a, b)
+    if kind.is_signed and not layout.in_range(kind, result):
+        return expr
+    ctype = lhs.ctype if lk is kind else Integer(kind)
+    return IntLit(value=layout.wrap(kind, result), ctype=ctype,
+                  line=expr.line)
+
+
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": _c_div, "%": _c_mod,
+          "&": operator.and_, "|": operator.or_, "^": operator.xor}
+
+
+def _literal_kind(lit: IntLit) -> IKind:
+    """A literal's integer kind (the optimiser's own literals are int)."""
+    return IKind.INT if lit.ctype is None else lit.ctype.kind
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +325,37 @@ def _fold_expr(expr: Expr, layout: TargetLayout) -> Expr:
 
 def _inline_small_calls(program: Program) -> Program:
     by_name = {f.name: f for f in program.functions if f.body is not None}
-    counter = [0]
+    main = by_name.get("main")
+    if main is None:
+        return program
+    main_names = {p.name for p in main.params} | _names_declared(main)
+    file_names = {f.name for f in program.functions} | \
+        {g.decl.name for g in program.globals}
+    counter = count(1)
+
+    def bound_names(callee: FuncDef) -> set[str] | None:
+        """The parameters and locals of a small void callee, renamed
+        when it is spliced into main; ``None`` when the splice would not
+        mean the same: an early ``return`` would fall through, a
+        ``static`` local would become one object per call site, a local
+        shadowing a file-scope name would have that name's uses renamed
+        with it, and a free name could be captured by a local of main."""
+        body = callee.body
+        if not isinstance(callee.ret, Void) or callee.variadic \
+                or len(body.stmts) > 8:
+            return None
+        nodes = list(_nodes(body))
+        used = {n.name for n in nodes if isinstance(n, Ident)}
+        returns = sum(isinstance(n, Return) for n in nodes)
+        locals_ = _names_declared(body)
+        bound = locals_ | {p.name for p in callee.params}
+        if callee.name in used or locals_ & file_names \
+                or (used - bound) & main_names \
+                or any(isinstance(n, DeclStmt) and n.static for n in nodes) \
+                or returns != (bool(body.stmts)
+                               and isinstance(body.stmts[-1], Return)):
+            return None
+        return bound
 
     def inline_stmt(stmt: Stmt) -> Stmt:
         if not isinstance(stmt, ExprStmt) or not isinstance(stmt.expr, Call):
@@ -273,66 +364,37 @@ def _inline_small_calls(program: Program) -> Program:
         if not isinstance(call.func, Ident):
             return stmt
         callee = by_name.get(call.func.name)
-        if callee is None or callee.body is None:
+        if callee is None or len(call.args) != len(callee.params) \
+                or (names := bound_names(callee)) is None:
             return stmt
-        if not isinstance(callee.ret, Void) or callee.variadic:
-            return stmt
-        if len(callee.body.stmts) > 8 or _calls_self(callee):
-            return stmt
-        if len(call.args) != len(callee.params):
-            return stmt
-        counter[0] += 1
-        suffix = f"__inl{counter[0]}"
-        renames = {p.name: p.name + suffix for p in callee.params}
+        suffix = f"__inl{next(counter)}"
         decls = tuple(
             Declarator(name=p.name + suffix, ctype=p.ctype, init=arg,
                        line=stmt.line)
             for p, arg in zip(callee.params, call.args))
-        body = _rename_locals(callee.body, renames, suffix)
+        body = _rename_locals(callee.body, names, suffix)
         return Block(stmts=(DeclStmt(decls=decls, line=stmt.line), body),
                      line=stmt.line)
 
-    def transform(fdef: FuncDef) -> FuncDef:
-        if fdef.name != "main":
-            return fdef
-        return _rebuild(fdef, body=_map_stmt(fdef.body, lambda e: e,
-                                             inline_stmt))
-
-    return _map_functions(program, transform)
+    return _map_functions(program, lambda f: _map(f, stmt_fn=inline_stmt)
+                          if f is main else f)
 
 
-def _calls_self(fdef: FuncDef) -> bool:
-    for expr in _walk_exprs(fdef.body):
-        if isinstance(expr, Call) and isinstance(expr.func, Ident) \
-                and expr.func.name == fdef.name:
-            return True
-    return False
-
-
-def _rename_locals(block: Block, renames: dict[str, str],
-                   suffix: str) -> Block:
-    renames = dict(renames)
+def _rename_locals(body: Block, names: set[str], suffix: str) -> Block:
+    """``body`` with each of ``names`` suffixed and its final
+    ``return`` dropped."""
+    def rename_expr(expr: Expr) -> Expr:
+        if isinstance(expr, Ident) and expr.name in names:
+            return replace(expr, name=expr.name + suffix)
+        return expr
 
     def rename_stmt(stmt: Stmt) -> Stmt:
         if isinstance(stmt, DeclStmt):
-            new_decls = []
-            for d in stmt.decls:
-                renames[d.name] = d.name + suffix
-                new_decls.append(replace(d, name=d.name + suffix))
-            return replace(stmt, decls=tuple(new_decls))
-        if isinstance(stmt, Return):
-            return Empty(line=stmt.line)
-        return stmt
+            return replace(stmt, decls=tuple(
+                replace(d, name=d.name + suffix) for d in stmt.decls))
+        return Empty(line=stmt.line) if isinstance(stmt, Return) else stmt
 
-    def rename_expr(expr: Expr) -> Expr:
-        if isinstance(expr, Ident) and expr.name in renames:
-            return replace(expr, name=renames[expr.name])
-        return expr
-
-    # Declarations are renamed in a first pass (so later uses resolve),
-    # then identifiers in a second.
-    pass1 = _map_stmt(block, lambda e: e, rename_stmt)
-    return _map_stmt(pass1, rename_expr)  # type: ignore[return-value]
+    return _map(body, rename_expr, rename_stmt)
 
 
 # ---------------------------------------------------------------------------
@@ -351,35 +413,47 @@ def _substitute_and_fold(fdef: FuncDef, layout: TargetLayout) -> FuncDef:
     locals that are never reassigned and never have their address taken
     (so neither an alias nor a call can change them).  Keys may be
     reassigned locals (each assignment updates the entry) but never
-    address-taken ones.  Control flow clears the environment.
+    address-taken ones, nor globals (a call may store to them).  A
+    store nested in a value drops its target's entry.  Control flow
+    clears the environment.
     """
-    address_taken = _address_taken_names(fdef)
-    mutated = _mutated_names(fdef)
-    local_names = {p.name for p in fdef.params}
-    for stmt in _walk_stmts(fdef.body):
-        if isinstance(stmt, DeclStmt):
-            local_names.update(d.name for d in stmt.decls)
-    stable = {n for n in local_names
-              if n not in mutated and n not in address_taken}
+    address_taken = set(_address_uses(fdef))
+    local_names = {p.name for p in fdef.params} | _names_declared(fdef)
+    stable = local_names - _names_written(fdef) - address_taken
 
-    def all_stable(expr: Expr) -> bool:
-        """Every *value-read* identifier is stable.  An identifier under
-        a direct address-of is an address use -- constant for the whole
-        scope -- so it does not need value stability."""
-        return all(name in stable for name in _value_read_idents(expr))
+    def bind(env: dict[str, Expr], name: str, value: Expr) -> None:
+        """After ``name = value``: remember the value if it may be
+        substituted for ``name``, and forget whatever it writes."""
+        if name in local_names and name not in address_taken and \
+                _is_pure(value) and \
+                all(read in stable for read in _value_reads(value)):
+            env[name] = value
+        else:
+            env.pop(name, None)
+            for written in _names_written(value):
+                env.pop(written, None)
 
     def rewrite(expr: Expr, env: dict[str, Expr]) -> Expr:
-        return _rewrite_with_env(expr, env, layout)
+        """Substitute + fold, bottom-up.  An identifier an assignment or
+        ``++``/``--`` writes directly keeps naming the variable (the
+        store must still go to it), as does the operand of ``&x``;
+        identifiers nested under derefs/indexing in a target are value
+        uses and substitute normally."""
+        if isinstance(expr, Ident):
+            return _fold_expr(env.get(expr.name, expr), layout)
+        if _addressed_name(expr) is not None:
+            return expr
+        if _written_name(expr) is not None:
+            return _rebuild(expr, value=rewrite(expr.value, env)) \
+                if isinstance(expr, Assign) else expr
+        return _fold_expr(_map_children(
+            expr, lambda e: rewrite(e, env), _SUBSTITUTED), layout)
 
-    def side_effect_targets(expr: Expr) -> list[str]:
-        names = []
-        for e in _walk_exprs(expr):
-            if isinstance(e, Assign) and isinstance(e.target, Ident):
-                names.append(e.target.name)
-            if isinstance(e, Unary) and e.op in ("++", "--") and \
-                    isinstance(e.operand, Ident):
-                names.append(e.operand.name)
-        return names
+    def declare(env: dict[str, Expr], decl: Declarator) -> Declarator:
+        decl = _map_trees(decl, lambda x: rewrite(x, env))
+        if decl.init is not None:
+            bind(env, decl.name, decl.init)
+        return decl
 
     def process_block(stmt: Stmt) -> Stmt:
         if not isinstance(stmt, Block):
@@ -388,189 +462,38 @@ def _substitute_and_fold(fdef: FuncDef, layout: TargetLayout) -> FuncDef:
         out: list[Stmt] = []
         for s in stmt.stmts:
             if isinstance(s, DeclStmt) and not s.static:
-                new_decls = []
-                for d in s.decls:
-                    init = d.init
-                    if init is not None:
-                        init = rewrite(init, env)
-                        if (_is_pure(init) and all_stable(init)
-                                and d.name not in address_taken):
-                            env[d.name] = init
-                        else:
-                            env.pop(d.name, None)
-                    new_decls.append(_rebuild(d, init=init))
-                out.append(_rebuild(s, decls=_tuple_of(new_decls,
-                                                       s.decls)))
+                out.append(_map_children(s, lambda d: declare(env, d)))
             elif isinstance(s, ExprStmt):
-                e = s.expr
+                e = rewrite(s.expr, env)
+                out.append(_rebuild(s, expr=e))
                 if isinstance(e, Assign) and not e.op and \
                         isinstance(e.target, Ident):
-                    value = rewrite(e.value, env)
-                    out.append(_rebuild(s, expr=_rebuild(e, value=value)))
-                    name = e.target.name
-                    if (name not in address_taken and _is_pure(value)
-                            and all_stable(value)):
-                        env[name] = value
-                    else:
-                        env.pop(name, None)
+                    bind(env, e.target.name, e.value)
                 else:
-                    new_e = rewrite(e, env)
-                    out.append(_rebuild(s, expr=new_e))
-                    for name in side_effect_targets(new_e):
+                    for name in _names_written(e):
                         env.pop(name, None)
             elif isinstance(s, (Return, Empty)):
-                out.append(_map_stmt_whole(
-                    s, lambda x: rewrite(x, env)))
+                out.append(_map_trees(s, lambda x: rewrite(x, env)))
             else:
                 # Control flow: a body may execute repeatedly and may
                 # reassign or shadow names, so only entries untouched
                 # inside it may be substituted into it.
-                unsafe = _names_written_or_declared(s)
+                unsafe = _names_written(s) | _names_declared(s)
                 safe_env = {k: v for k, v in env.items()
                             if k not in unsafe}
-                out.append(_map_stmt_whole(
-                    s, lambda x: rewrite(x, safe_env)))
+                out.append(_map_trees(s, lambda x: rewrite(x, safe_env)))
                 env.clear()   # stop propagating past the join
         return _rebuild(stmt, stmts=_tuple_of(out, stmt.stmts))
 
-    return _rebuild(fdef, body=_map_stmt(fdef.body, lambda e: e,
-                                         process_block))
+    return _map(fdef, stmt_fn=process_block)
 
 
-def _names_written_or_declared(stmt: Stmt) -> set[str]:
-    """Names a statement assigns, increments, or (re)declares anywhere
-    inside itself -- unsafe to substitute into it from outside."""
-    names: set[str] = set()
-    for sub in _walk_stmts(stmt):
-        if isinstance(sub, DeclStmt):
-            names.update(d.name for d in sub.decls)
-    for e in _walk_exprs(stmt):
-        if isinstance(e, Assign) and isinstance(e.target, Ident):
-            names.add(e.target.name)
-        if isinstance(e, Unary) and e.op in ("++", "--") and \
-                isinstance(e.operand, Ident):
-            names.add(e.operand.name)
-    return names
-
-
-def _value_read_idents(expr: Expr) -> list[str]:
-    """Identifiers whose *value* the expression reads (address-of a bare
-    identifier is an address use, not a value read)."""
-    if isinstance(expr, Ident):
-        return [expr.name]
-    if isinstance(expr, Unary) and expr.op == "&" and \
-            isinstance(expr.operand, Ident):
-        return []
-    out: list[str] = []
-    for e in _walk_exprs(expr):
-        if e is expr:
-            continue
-        if isinstance(e, Unary) and e.op == "&" and \
-                isinstance(e.operand, Ident):
-            continue
-        if isinstance(e, Ident):
-            out.append(e.name)
-    # _walk_exprs flattens; remove idents that sit directly under an
-    # address-of (they were collected by the flat walk).
-    addressed = [e.operand.name for e in _walk_exprs(expr)
-                 if isinstance(e, Unary) and e.op == "&"
-                 and isinstance(e.operand, Ident)]
-    for name in addressed:
-        if name in out:
-            out.remove(name)
-    return out
-
-
-def _rewrite_with_env(expr: Expr, env: dict[str, Expr],
-                      layout: TargetLayout) -> Expr:
-    """Substitute + fold, but never substitute an identifier in *direct*
-    lvalue position (assignment target, ++/-- operand): the store must
-    still go to the variable.  Identifiers nested under derefs/indexing
-    in a target are value uses and substitute normally."""
-    if isinstance(expr, Assign):
-        if isinstance(expr.target, Ident):
-            target: Expr = expr.target
-        else:
-            target = _rewrite_with_env(expr.target, env, layout)
-        return _rebuild(expr, target=target,
-                        value=_rewrite_with_env(expr.value, env, layout))
-    if isinstance(expr, Unary) and expr.op in ("++", "--"):
-        if isinstance(expr.operand, Ident):
-            return expr
-        return _rebuild(expr, operand=_rewrite_with_env(expr.operand, env,
-                                                        layout))
-    if isinstance(expr, Unary) and expr.op == "&" and \
-            isinstance(expr.operand, Ident):
-        # &x must keep naming the object, not its value.
-        return expr
-
-    def leaf(e: Expr) -> Expr:
-        return _fold_expr(_subst_leaf(e, env), layout)
-
-    # Rebuild children through this function (so nested assignments keep
-    # their targets), then fold/substitute the node itself.
-    def sub(e: Expr) -> Expr:
-        return _rewrite_with_env(e, env, layout)
-
-    if isinstance(expr, (Binary, Comma)):
-        node: Expr = _rebuild(expr, lhs=sub(expr.lhs), rhs=sub(expr.rhs))
-    elif isinstance(expr, (Unary, Cast)):
-        node = _rebuild(expr, operand=sub(expr.operand))
-    elif isinstance(expr, Conditional):
-        node = _rebuild(expr, cond=sub(expr.cond), then=sub(expr.then),
-                        other=sub(expr.other))
-    elif isinstance(expr, Call):
-        node = _rebuild(expr, args=_map_all(expr.args, sub))
-    elif isinstance(expr, Index):
-        node = _rebuild(expr, base=sub(expr.base), index=sub(expr.index))
-    elif isinstance(expr, Member):
-        node = _rebuild(expr, base=sub(expr.base))
-    elif isinstance(expr, InitList):
-        node = _rebuild(expr, items=_map_all(expr.items, sub))
-    else:
-        node = expr
-    return leaf(node)
-
-
-def _map_stmt_whole(stmt: Stmt | None, fn) -> Stmt | None:
-    """Apply ``fn`` to each complete expression tree in a statement."""
-    if stmt is None:
-        return None
-
-    def sub(s: Stmt | None) -> Stmt | None:
-        return _map_stmt_whole(s, fn)
-
-    if isinstance(stmt, ExprStmt):
-        return _rebuild(stmt, expr=fn(stmt.expr))
-    if isinstance(stmt, DeclStmt):
-        return _rebuild(stmt, decls=_map_all(stmt.decls, lambda d: _rebuild(
-            d, init=fn(d.init) if d.init is not None else None)))
-    if isinstance(stmt, Block):
-        return _rebuild(stmt, stmts=_map_all(stmt.stmts, sub))
-    if isinstance(stmt, If):
-        return _rebuild(stmt, cond=fn(stmt.cond), then=sub(stmt.then),
-                        other=sub(stmt.other))
-    if isinstance(stmt, While):
-        return _rebuild(stmt, cond=fn(stmt.cond), body=sub(stmt.body))
-    if isinstance(stmt, For):
-        return _rebuild(
-            stmt, init=sub(stmt.init),
-            cond=fn(stmt.cond) if stmt.cond is not None else None,
-            step=fn(stmt.step) if stmt.step is not None else None,
-            body=sub(stmt.body))
-    if isinstance(stmt, Switch):
-        return _rebuild(stmt, cond=fn(stmt.cond),
-                        stmts=_map_all(stmt.stmts, sub))
-    if isinstance(stmt, Return):
-        return _rebuild(stmt, value=fn(stmt.value)
-                        if stmt.value is not None else None)
-    return stmt
-
-
-def _subst_leaf(expr: Expr, env: dict[str, Expr]) -> Expr:
-    if isinstance(expr, Ident) and expr.name in env:
-        return env[expr.name]
-    return expr
+def _value_reads(expr: Expr) -> Counter:
+    """Identifiers whose *value* the expression reads (``&x`` uses the
+    address of ``x``, constant for its whole scope, not its value)."""
+    nodes = list(_nodes(expr))
+    return Counter(n.name for n in nodes if isinstance(n, Ident)) \
+        - Counter(filter(None, map(_addressed_name, nodes)))
 
 
 def _is_pure(expr: Expr) -> bool:
@@ -587,41 +510,49 @@ def _is_pure(expr: Expr) -> bool:
     return False
 
 
-def _mutated_names(fdef: FuncDef) -> set[str]:
-    names: set[str] = set()
-    for expr in _walk_exprs(fdef.body):
-        if isinstance(expr, Assign) and isinstance(expr.target, Ident):
-            names.add(expr.target.name)
-        if isinstance(expr, Unary) and expr.op in ("++", "--") \
-                and isinstance(expr.operand, Ident):
-            names.add(expr.operand.name)
-    return names
-
-
-def _address_taken_names(fdef: FuncDef) -> set[str]:
-    names: set[str] = set()
-    for expr in _walk_exprs(fdef.body):
-        if isinstance(expr, Unary) and expr.op == "&" \
-                and isinstance(expr.operand, Ident):
-            names.add(expr.operand.name)
-    return names
-
-
 # ---------------------------------------------------------------------------
-# Identity-write elimination (S3.5)
+# Byte copies (S3.5): identity writes go, byte-copy loops become memcpy
+# (GCC tree-loop-distribute-patterns)
 # ---------------------------------------------------------------------------
 
 
-def _eliminate_identity_writes(fdef: FuncDef) -> FuncDef:
-    def clean(stmt: Stmt) -> Stmt:
+def _rewrite_byte_copies(fdef: FuncDef, layout: TargetLayout) -> FuncDef:
+    def rewrite(stmt: Stmt) -> Stmt:
         if isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Assign) \
                 and not stmt.expr.op \
                 and _same_lvalue(stmt.expr.target, stmt.expr.value) \
                 and _is_pure_lvalue(stmt.expr.target):
-            return Empty(line=stmt.line)
-        return stmt
+            return Empty(line=stmt.line)    # an identity write
+        match = _match_copy_loop(stmt)
+        if match is None:
+            return stmt
+        dest, src, count, line = match
+        elem = _element_type(fdef, dest)
+        if elem is None or elem != _element_type(fdef, src):
+            return stmt
+        call = Call(func=Ident(name="memcpy", line=line),
+                    args=(Ident(name=dest, line=line),
+                          Ident(name=src, line=line),
+                          IntLit(value=count * layout.sizeof(elem),
+                                 line=line)),
+                    line=line)
+        return ExprStmt(expr=call, line=line)
 
-    return _rebuild(fdef, body=_map_stmt(fdef.body, lambda e: e, clean))
+    return _map(fdef, stmt_fn=rewrite)
+
+
+def _element_type(fdef: FuncDef, name: str) -> CType | None:
+    """The complete element type of ``name``, an array or pointer the
+    function declares once: a copy loop becomes memcpy only between two
+    of one element type."""
+    ctypes = [p.ctype for p in fdef.params if p.name == name] + [
+        n.ctype for n in _nodes(fdef)
+        if isinstance(n, Declarator) and n.name == name]
+    ctype = ctypes[0] if len(ctypes) == 1 else None
+    elem = ctype.elem if isinstance(ctype, ArrayT) else \
+        ctype.pointee if isinstance(ctype, Pointer) else None
+    return strip_const(elem) if elem is not None and elem.is_complete \
+        else None
 
 
 def _same_lvalue(a: Expr, b: Expr) -> bool:
@@ -658,39 +589,17 @@ def _is_pure_lvalue(expr: Expr) -> bool:
     return False
 
 
-# ---------------------------------------------------------------------------
-# Byte-copy loops -> memcpy (S3.5, GCC tree-loop-distribute-patterns)
-# ---------------------------------------------------------------------------
-
-
-def _loops_to_memcpy(fdef: FuncDef, layout: TargetLayout) -> FuncDef:
-    def rewrite(stmt: Stmt) -> Stmt:
-        match = _match_copy_loop(stmt, layout)
-        if match is None:
-            return stmt
-        dest, src, count, line = match
-        call = Call(func=Ident(name="memcpy", line=line),
-                    args=(Ident(name=dest, line=line),
-                          Ident(name=src, line=line),
-                          IntLit(value=count, line=line)),
-                    line=line)
-        return ExprStmt(expr=call, line=line)
-
-    return _rebuild(fdef, body=_map_stmt(fdef.body, lambda e: e, rewrite))
-
-
-def _match_copy_loop(stmt: Stmt, layout: TargetLayout):
+def _match_copy_loop(stmt: Stmt):
     """Match ``for (i=0; i<N; i++) d[i] = s[i];`` with constant N."""
     if not isinstance(stmt, For) or stmt.cond is None or stmt.step is None:
         return None
     # init: i = 0 (decl or assignment)
     if isinstance(stmt.init, DeclStmt) and len(stmt.init.decls) == 1:
-        d = stmt.init.decls[0]
-        var, init = d.name, d.init
+        var, init = stmt.init.decls[0].name, stmt.init.decls[0].init
     elif isinstance(stmt.init, ExprStmt) and \
             isinstance(stmt.init.expr, Assign) and \
-            isinstance(stmt.init.expr.target, Ident):
-        var, init = stmt.init.expr.target.name, stmt.init.expr.value
+            (var := _written_name(stmt.init.expr)) is not None:
+        init = stmt.init.expr.value
     else:
         return None
     if not (isinstance(init, IntLit) and init.value == 0):
@@ -700,18 +609,12 @@ def _match_copy_loop(stmt: Stmt, layout: TargetLayout):
     if not (isinstance(cond, Binary) and cond.op == "<"
             and isinstance(cond.lhs, Ident) and cond.lhs.name == var):
         return None
-    bound = cond.rhs
-    if isinstance(bound, SizeofType):
-        count = layout.sizeof(bound.ctype)
-    elif isinstance(bound, IntLit):
-        count = bound.value
-    else:
+    if not isinstance(cond.rhs, IntLit):   # sizeof is folded by now
         return None
     # step: i++ (or ++i)
     step = stmt.step
     if not (isinstance(step, Unary) and step.op == "++"
-            and isinstance(step.operand, Ident)
-            and step.operand.name == var):
+            and _written_name(step) == var):
         return None
     # body: d[i] = s[i];
     body = stmt.body
@@ -720,82 +623,56 @@ def _match_copy_loop(stmt: Stmt, layout: TargetLayout):
     if not (isinstance(body, ExprStmt) and isinstance(body.expr, Assign)
             and not body.expr.op):
         return None
-    tgt, val = body.expr.target, body.expr.value
-    if not (isinstance(tgt, Index) and isinstance(tgt.base, Ident)
-            and isinstance(tgt.index, Ident) and tgt.index.name == var):
+    arrays = [e.base.name for e in (body.expr.target, body.expr.value)
+              if isinstance(e, Index) and isinstance(e.base, Ident)
+              and isinstance(e.index, Ident) and e.index.name == var]
+    if len(arrays) != 2:
         return None
-    if not (isinstance(val, Index) and isinstance(val.base, Ident)
-            and isinstance(val.index, Ident) and val.index.name == var):
-        return None
-    return tgt.base.name, val.base.name, count, stmt.line
+    return arrays[0], arrays[1], cond.rhs.value, stmt.line
 
 
 # ---------------------------------------------------------------------------
-# In-bounds assumption (S3.1's g(): a[i] with a[1] becomes a[0])
+# Assuming no UB (S3.1): ``a[i]`` with ``a[1]`` becomes ``a[0]``, and
+# stores through statically out-of-bounds pointers to locals go
 # ---------------------------------------------------------------------------
 
 
-def _assume_in_bounds(fdef: FuncDef) -> FuncDef:
-    lengths: dict[str, int] = {}
-    for stmt in _walk_stmts(fdef.body):
-        if isinstance(stmt, DeclStmt):
-            for d in stmt.decls:
-                if isinstance(d.ctype, ArrayT) and d.ctype.length == 1:
-                    lengths[d.name] = 1
-
-    def rewrite(expr: Expr) -> Expr:
-        if isinstance(expr, Index) and isinstance(expr.base, Ident) \
-                and lengths.get(expr.base.name) == 1 \
-                and not isinstance(expr.index, IntLit):
-            return replace(expr, index=IntLit(value=0, line=expr.line))
-        return expr
-
-    return _rebuild(fdef, body=_map_stmt(fdef.body, rewrite))
-
-
-def _walk_stmts(stmt: Stmt | None) -> list[Stmt]:
-    found: list[Stmt] = []
-
-    def collect(s: Stmt) -> Stmt:
-        found.append(s)
-        return s
-
-    _map_stmt(stmt, lambda e: e, collect)
-    return found
-
-
-# ---------------------------------------------------------------------------
-# Doomed-write elimination (S3.1)
-# ---------------------------------------------------------------------------
-
-
-def _eliminate_doomed_writes(fdef: FuncDef, level: int,
-                             ident_uses: dict[str, int]) -> FuncDef:
-    """Remove stores through statically out-of-bounds pointers to locals.
+def _assume_no_ub(fdef: FuncDef, level: int,
+                  address_uses: dict[str, int]) -> FuncDef:
+    """The in-bounds assumption on each expression, then doomed-write
+    elimination on each statement.
 
     After inlining + substitution, the S3.1 store is ``*(&x + 1) = 42``.
     The compiler may assume no UB and treat the store as unreachable; it
     removes it when the target local does not escape (-O2) or regardless
     (-O3) -- matching the paper's account of how the surviving write
     depends "in subtle and hard-to-predict ways on the rest of the code".
-    ``ident_uses`` counts address-of occurrences in the *source* program
-    (one occurrence = the call argument itself = non-escaping).
+    ``address_uses`` counts address-of occurrences in the *source*
+    program (one occurrence = the call argument itself = non-escaping).
     """
+    singletons = {n.name for n in _nodes(fdef) if isinstance(n, Declarator)
+                  and isinstance(n.ctype, ArrayT) and n.ctype.length == 1}
 
-    def clean(stmt: Stmt) -> Stmt:
+    def in_bounds(expr: Expr) -> Expr:
+        if isinstance(expr, Index) and isinstance(expr.base, Ident) \
+                and expr.base.name in singletons \
+                and not isinstance(expr.index, IntLit):
+            return replace(expr, index=IntLit(value=0, line=expr.line))
+        return expr
+
+    def drop_doomed(stmt: Stmt) -> Stmt:
         if not (isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Assign)
                 and not stmt.expr.op):
             return stmt
-        target = stmt.expr.target
-        name = _oob_scalar_store_target(target)
+        name = _oob_scalar_store_target(stmt.expr.target)
         if name is None:
             return stmt
-        escapes = ident_uses.get(name, 0) > 1
+        escapes = address_uses.get(name, 0) > 1
         if escapes and level < 3:
             return stmt
         return Empty(line=stmt.line)
 
-    return _rebuild(fdef, body=_map_stmt(fdef.body, lambda e: e, clean))
+    return _map(fdef, in_bounds, drop_doomed)
 
 
 def _oob_scalar_store_target(target: Expr) -> str | None:
@@ -804,10 +681,8 @@ def _oob_scalar_store_target(target: Expr) -> str | None:
     if isinstance(target, Unary) and target.op == "*":
         inner = target.operand
     elif isinstance(target, Index):
-        if isinstance(target.base, Unary) and target.base.op == "&" and \
-                isinstance(target.base.operand, Ident) and \
-                isinstance(target.index, IntLit) and target.index.value != 0:
-            return target.base.operand.name
+        if isinstance(target.index, IntLit) and target.index.value != 0:
+            return _addressed_name(target.base)
         return None
     else:
         return None
@@ -818,16 +693,5 @@ def _oob_scalar_store_target(target: Expr) -> str | None:
         base = inner.lhs
         while isinstance(base, Cast):
             base = base.operand
-        if isinstance(base, Unary) and base.op == "&" and \
-                isinstance(base.operand, Ident):
-            return base.operand.name
+        return _addressed_name(base)
     return None
-
-
-def _count_ident_uses(fdef: FuncDef) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for expr in _walk_exprs(fdef.body):
-        if isinstance(expr, Unary) and expr.op == "&" and \
-                isinstance(expr.operand, Ident):
-            counts[expr.operand.name] = counts.get(expr.operand.name, 0) + 1
-    return counts

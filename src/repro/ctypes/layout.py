@@ -29,6 +29,15 @@ from repro.ctypes.types import (
 from repro.errors import CTypeError
 
 
+#: The unsigned type of each signed kind the usual arithmetic
+#: conversions can pick (ISO 6.3.1.8's last rule).
+_UNSIGNED_OF = {
+    IKind.INT: IKind.UINT, IKind.LONG: IKind.ULONG,
+    IKind.LLONG: IKind.ULLONG, IKind.INTPTR: IKind.UINTPTR,
+    IKind.PTRDIFF: IKind.SIZE,
+}
+
+
 @dataclass(frozen=True)
 class FieldLayout:
     name: str
@@ -127,6 +136,26 @@ class TargetLayout:
     @staticmethod
     def rank(kind: IKind) -> int:
         return RANK[kind]
+
+    @staticmethod
+    def promoted(kind: IKind) -> IKind:
+        """The integer promotion of ``kind`` (ISO 6.3.1.1)."""
+        return IKind.INT if RANK[kind] < RANK[IKind.INT] else kind
+
+    def common_kind(self, lk: IKind, rk: IKind) -> IKind:
+        """The common type the usual arithmetic conversions give two
+        promoted kinds (ISO 6.3.1.8, with CHERI C's ranks)."""
+        lr, rr = RANK[lk], RANK[rk]
+        if lr == rr:
+            # Same rank: unsigned wins.
+            return lk if not lk.is_signed else rk
+        hi, lo = (lk, rk) if lr > rr else (rk, lk)
+        if not hi.is_signed:
+            return hi
+        if self._maxs[hi] >= self._maxs[lo]:
+            return hi
+        # Signed type cannot represent the unsigned one: unsigned version.
+        return _UNSIGNED_OF.get(hi, hi)
 
     # -- sizeof / alignof ----------------------------------------------------
 

@@ -49,7 +49,7 @@ import tempfile
 #: programs are built -- changes incompatibly.  Part of both the
 #: address digest (old entries become unreachable) and the payload
 #: (an old file reached anyway reads as a miss).
-DISK_FORMAT_VERSION = 1
+DISK_FORMAT_VERSION = 2
 
 #: Filename suffix for published entries (temp files use ``.tmp``).
 _SUFFIX = ".pkl"

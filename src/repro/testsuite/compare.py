@@ -90,20 +90,33 @@ class SuiteReport:
         return line
 
 
-def _run_case(task) -> tuple[Outcome, Metrics | None]:
+@dataclass(frozen=True, kw_only=True)
+class CaseTask:
+    """One (implementation, case) cell as a pool worker receives it,
+    with the run settings of :func:`run_suite`."""
+
+    impl: Implementation
+    case: TestCase
+    with_metrics: bool = False
+    use_cache: bool | None = None
+    budget: object = None
+    evaluator: str | None = None
+
+
+def _run_case(task: CaseTask) -> tuple[Outcome, Metrics | None]:
     """Worker body: one (implementation, case) run, optionally metered.
 
     Top-level so the worker pool can pickle it; the serial path calls
     it directly with the same tasks.
     """
-    impl, case, with_metrics, use_cache, budget, evaluator = task
     bus = metrics = None
-    if with_metrics:
+    if task.with_metrics:
         from repro.obs import EventBus
         bus = EventBus()
         metrics = Metrics().attach(bus).start()
-    outcome = impl.run(case.source, bus=bus, use_cache=use_cache,
-                       budget=budget, evaluator=evaluator)
+    outcome = task.impl.run(task.case.source, bus=bus,
+                            use_cache=task.use_cache, budget=task.budget,
+                            evaluator=task.evaluator)
     if metrics is not None:
         metrics.finish(steps=bus.step)
     return outcome, metrics
@@ -159,16 +172,10 @@ def run_suite(impl: Implementation,
     each task so worker processes apply it regardless of their own
     default.
     """
-    if cases is None:
-        cases = all_cases()
-    cases = tuple(cases)
-    tasks = [(impl, case, with_metrics, use_cache, budget, evaluator)
-             for case in cases]
-    runs = parallel_map(_run_case, tasks, jobs=jobs,
-                        task_timeout=_default_task_timeout(budget,
-                                                           task_timeout),
-                        fault_plan=fault_plan, bus=bus)
-    return _report_for(impl, cases, runs, with_metrics)
+    return compare_implementations(
+        (impl,), cases, jobs=jobs, with_metrics=with_metrics,
+        use_cache=use_cache, budget=budget, fault_plan=fault_plan,
+        task_timeout=task_timeout, bus=bus, evaluator=evaluator)[0]
 
 
 def compare_implementations(
@@ -191,7 +198,8 @@ def compare_implementations(
     if cases is None:
         cases = all_cases()
     cases = tuple(cases)
-    tasks = [(impl, case, with_metrics, use_cache, budget, evaluator)
+    tasks = [CaseTask(impl=impl, case=case, with_metrics=with_metrics,
+                      use_cache=use_cache, budget=budget, evaluator=evaluator)
              for impl in impls for case in cases]
     runs = parallel_map(_run_case, tasks, jobs=jobs,
                         task_timeout=_default_task_timeout(budget,

@@ -195,15 +195,17 @@ def test_a_run_that_frees_nothing_is_served_across_a_release_axis(
 
 
 #: ``digest_for(CompileCache.key_for(impl, SOURCE))`` as published by
-#: the disk layer before both keys were derived from COMPILE_AXES: the
-#: derivation must keep existing disk caches valid.
+#: the disk layer: a refactoring of the key derivation must keep
+#: existing disk caches valid.  Refresh deliberately when
+#: ``DISK_FORMAT_VERSION`` is bumped (last: 2, when the optimiser's
+#: folding and inlining fixes changed the Core programs built).
 PINNED_DIGESTS = {
     "cerberus":
-        "a4998d0fade8cb7911f0efff1d1c036e04b1aefa11a2e5701b4178a2baac1c5f",
+        "3c4536f40daf50dbcce469a8b27362772b3a7f346bc1e336c8887a19fc9e5c92",
     "cheriot-O0":
-        "787a777d6a75ea0ade43a7bd841b864a2f3b2c24150791afc0eda04a26583ea1",
+        "0b0846ce7655c753fa1b3b5033f88cbc8977b634688b4b884e5968880780d482",
     "clang-morello-O3-subobject-safe":
-        "d80f62a74b3a7d85a894435efca377b6cef359643510fe8dec5dcc48400a6357",
+        "3b50bab23771ebbcd8f00a803b2f007489378f5734883350a7dea36f833ced26",
 }
 
 

@@ -275,11 +275,9 @@ int main(void) {
         prog = parse_program(self.NOTHING_TO_REWRITE, LAYOUT)
         passes = (
             lambda f: O._fold_function(f, LAYOUT),
-            O._eliminate_identity_writes,
-            lambda f: O._loops_to_memcpy(f, LAYOUT),
+            lambda f: O._rewrite_byte_copies(f, LAYOUT),
             lambda f: O._substitute_and_fold(f, LAYOUT),
-            O._assume_in_bounds,
-            lambda f: O._eliminate_doomed_writes(f, 3, {}),
+            lambda f: O._assume_no_ub(f, 3, {}),
         )
         for fdef in prog.functions:
             for rewrite in passes:
