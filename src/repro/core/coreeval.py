@@ -41,7 +41,7 @@ from repro.capability.permissions import Permission
 from repro.core.builtins import AbortSignal, ExitSignal
 from repro.core.cast import FuncDef, GlobalDecl, Ident
 from repro.core.coreir import Binding, CoreFunc, CoreProgram
-from repro.ctypes.layout import TargetLayout
+from repro.ctypes.layout import RELATIONAL, TargetLayout
 from repro.ctypes.types import (
     ArrayT, BOOL, CType, FuncT, IKind, INT, Integer, Pointer, PTRDIFF_T,
     StructT, UnionT, VOID, Void, is_const_array,
@@ -543,66 +543,38 @@ class CoreEvaluator:
 
     def binary_op(self, op: str, lhs: MemoryValue, rhs: MemoryValue,
                   line: int) -> MemoryValue:
-        lptr = isinstance(lhs, MVPointer)
-        rptr = isinstance(rhs, MVPointer)
-        if lptr or rptr:
-            return self._pointer_binary(op, lhs, rhs, line)
-        if isinstance(lhs, MVUnspecified) or isinstance(rhs, MVUnspecified):
-            return MVUnspecified(lhs.ctype if isinstance(lhs, MVUnspecified)
-                                 else rhs.ctype)
-        if not (isinstance(lhs, MVInteger) and isinstance(rhs, MVInteger)):
+        if type(lhs) is not MVInteger or type(rhs) is not MVInteger:
+            if isinstance(lhs, MVPointer) or isinstance(rhs, MVPointer):
+                return self._pointer_binary(op, lhs, rhs, line)
+            if isinstance(lhs, MVUnspecified):
+                return MVUnspecified(lhs.ctype)
+            if isinstance(rhs, MVUnspecified):
+                return MVUnspecified(rhs.ctype)
             raise CTypeError(f"binary {op} on {lhs.ctype} and {rhs.ctype}")
-        if op in ("<<", ">>"):
-            return self._shift(op, lhs, rhs, line)
-        lhs2, rhs2 = self.usual_arith(lhs, rhs)
-        kind = lhs2.ctype.kind  # type: ignore[union-attr]
-        a, b = lhs2.ival.value(), rhs2.ival.value()
-        if op in ("==", "!=", "<", ">", "<=", ">="):
-            result = {"==": a == b, "!=": a != b, "<": a < b,
-                      ">": a > b, "<=": a <= b, ">=": a >= b}[op]
-            return MVInteger(INT, IntegerValue.of_int(int(result)))
-        if op in ("/", "%") and b == 0:
-            if self.model.hardware:
-                # Arm semantics: division by zero yields zero, no trap.
-                return MVInteger(lhs2.ctype, IntegerValue.of_int(0))
-            raise UndefinedBehaviour(UB.DIVISION_BY_ZERO, f"line {line}")
-        result = {
-            "+": a + b, "-": a - b, "*": a * b,
-            "/": _c_div(a, b) if op == "/" else 0,
-            "%": _c_mod(a, b) if op == "%" else 0,
-            "&": a & b, "|": a | b, "^": a ^ b,
-        }[op]
-        result = self._finish_arith(kind, result, line)
-        ival = derive(lhs2.ival, rhs2.ival, result,
-                      signed=kind.is_signed, hardware=self.model.hardware,
-                      model=self.model)
-        return MVInteger(lhs2.ctype, ival)
-
-    def _shift(self, op: str, lhs: MVInteger, rhs: MVInteger,
-               line: int) -> MemoryValue:
-        lhs2 = self.integer_promote(lhs)
-        kind = lhs2.ctype.kind  # type: ignore[union-attr]
-        width = self.layout.value_width(kind)
-        amount = rhs.ival.value()
-        a = lhs2.ival.value()
-        if amount < 0 or amount >= width:
-            if self.model.hardware:
-                amount %= width
-            else:
-                raise UndefinedBehaviour(UB.SHIFT_OUT_OF_RANGE,
-                                         f"shift by {amount} (line {line})")
-        # On the already-interpreted mathematical value, arithmetic
-        # (signed) and logical (unsigned) right shifts are both ``>>``.
-        result = a << amount if op == "<<" else a >> amount
-        if op == "<<" and kind.is_signed and not self.model.hardware and \
-                not self.layout.in_range(kind, result):
-            raise UndefinedBehaviour(UB.SIGNED_OVERFLOW,
-                                     f"<< overflow (line {line})")
-        result = self.layout.wrap(kind, result)
-        ival = derive(lhs2.ival, None, result,
-                      signed=kind.is_signed, hardware=self.model.hardware,
-                      model=self.model)
-        return MVInteger(lhs2.ctype, ival)
+        layout = self.layout
+        ka, kb = lhs.ctype.kind, rhs.ctype.kind  # type: ignore[union-attr]
+        a, b = lhs.ival.value(), rhs.ival.value()
+        value, kind, ub = layout.arith(op, a, ka, b, kb)
+        if ub is not None:
+            if not self.model.hardware:
+                raise UndefinedBehaviour(ub, _ub_detail(op, ub, b, line))
+            if ub is UB.SHIFT_OUT_OF_RANGE:
+                # Arm takes the shift count modulo the width.
+                value, kind, ub = layout.arith(
+                    op, a, ka, b % layout.value_width(kind), kb)
+        if op in RELATIONAL:
+            return MVInteger(INT, IntegerValue.of_int(value))
+        ctype = lhs.ctype if ka is kind else _INTEGER_TYPES[kind]
+        if ub is UB.DIVISION_BY_ZERO:
+            # Arm semantics: division by zero yields zero, no trap.
+            return MVInteger(ctype, IntegerValue.of_int(0))
+        if lhs.ival.cap is None and rhs.ival.cap is None:
+            return MVInteger(ctype, IntegerValue.of_int(value))
+        # The S4.4 derivation step; a shift count is no derivation source.
+        return MVInteger(ctype, derive(
+            lhs.ival, None if op == "<<" or op == ">>" else rhs.ival, value,
+            signed=kind.is_signed, hardware=self.model.hardware,
+            model=self.model))
 
     def _pointer_binary(self, op: str, lhs: MemoryValue, rhs: MemoryValue,
                         line: int) -> MemoryValue:
@@ -652,35 +624,9 @@ class CoreEvaluator:
             return self.model.int_to_ptr(value.ival, VOID)
         raise CTypeError(f"not a pointer operand: {value.ctype}")
 
-    def _finish_arith(self, kind: IKind, result: int, line: int) -> int:
-        if kind.is_signed and not self.layout.in_range(kind, result):
-            if not self.model.hardware:
-                raise UndefinedBehaviour(UB.SIGNED_OVERFLOW,
-                                         f"line {line}")
-        return self.layout.wrap(kind, result)
-
     # ------------------------------------------------------------------
     # Conversions (ISO 6.3 with the CHERI C rank rule of S3.7)
     # ------------------------------------------------------------------
-
-    def integer_promote(self, value: MVInteger) -> MVInteger:
-        kind = value.ctype.kind  # type: ignore[union-attr]
-        if self.layout.promoted(kind) is not kind:
-            return MVInteger(INT, IntegerValue.of_int(
-                self.layout.wrap(IKind.INT, value.ival.value())))
-        return value
-
-    def usual_arith(self, lhs: MVInteger,
-                    rhs: MVInteger) -> tuple[MVInteger, MVInteger]:
-        lhs = self.integer_promote(lhs)
-        rhs = self.integer_promote(rhs)
-        lk = lhs.ctype.kind  # type: ignore[union-attr]
-        rk = rhs.ctype.kind  # type: ignore[union-attr]
-        if lk == rk:
-            return lhs, rhs
-        common = self.layout.common_kind(lk, rk)
-        return (self._convert_int(lhs, Integer(common)),
-                self._convert_int(rhs, Integer(common)))
 
     def _convert_int(self, value: MVInteger, to: Integer) -> MVInteger:
         ival = value.ival
@@ -776,11 +722,12 @@ class CoreEvaluator:
         raise CTypeError(f"expected an integer, found {value.ctype}")
 
 
-def _c_div(a: int, b: int) -> int:
-    """C division truncates toward zero."""
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
+_INTEGER_TYPES = {kind: Integer(kind) for kind in IKind}
 
 
-def _c_mod(a: int, b: int) -> int:
-    return a - _c_div(a, b) * b
+def _ub_detail(op: str, ub: UB, count: int, line: int) -> str:
+    if ub is UB.SHIFT_OUT_OF_RANGE:
+        return f"shift by {count} (line {line})"
+    if op == "<<":
+        return f"<< overflow (line {line})"
+    return f"line {line}"

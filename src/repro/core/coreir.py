@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 from repro.core import builtins as builtin_mod
 from repro.ctypes.types import (
-    ArrayT, CHAR_CONST, CType, INT, Integer, Pointer, SIZE_T, StructT,
+    ArrayT, CHAR_CONST, CType, IKind, INT, Pointer, SIZE_T, StructT,
     UnionT,
 )
 from repro.errors import CTypeError, UB, UndefinedBehaviour
@@ -593,22 +593,16 @@ class UnaryArith(Op):
             return False
         if not isinstance(value, MVInteger):
             raise CTypeError(f"unary {self.op} on {value.ctype}")
-        promoted = ev.integer_promote(value)
-        kind = promoted.ctype.kind
-        raw = promoted.ival.value()
-        if self.op == "-":
-            result = -raw
-        elif self.op == "+":
-            result = raw
-        elif self.op == "~":
-            result = ~raw
-        else:
-            raise CTypeError(f"unhandled unary {self.op}")
-        result = ev._finish_arith(kind, result, self.line)
-        ival = derive(promoted.ival, None, result,
-                      signed=kind.is_signed, hardware=ev.model.hardware,
+        kind = value.ctype.kind
+        result, promoted, ub = ev.layout.arith(self.op, value.ival.value(),
+                                               kind)
+        if ub is not None and not ev.model.hardware:
+            raise UndefinedBehaviour(ub, f"line {self.line}")
+        ival = derive(value.ival, None, result,
+                      signed=promoted.is_signed, hardware=ev.model.hardware,
                       model=ev.model)
-        frame.stack.append(MVInteger(promoted.ctype, ival))
+        frame.stack.append(MVInteger(
+            value.ctype if promoted is kind else INT, ival))
         return False
 
 
@@ -628,6 +622,9 @@ class BinOp(Op):
         lhs = frame.stack.pop()
         frame.stack.append(ev.binary_op(self.op, lhs, rhs, self.line))
         return False
+
+
+_ONE = MVInteger(INT, IntegerValue.of_int(1))
 
 
 class IncDec(Op):
@@ -656,14 +653,12 @@ class IncDec(Op):
             if not isinstance(old, MVInteger):
                 raise UndefinedBehaviour(UB.READ_UNINITIALISED,
                                          "++/-- on uninitialised value")
-            kind = old.ctype.kind
-            result = ev._finish_arith(kind, old.ival.value() + delta,
-                                      self.line)
-            new = MVInteger(old.ctype,
-                            derive(old.ival, None, result,
-                                   signed=kind.is_signed,
-                                   hardware=ev.model.hardware,
-                                   model=ev.model))
+            # ``c++`` is ``c += 1`` (ISO 6.5.2.4): computed in the
+            # promoted type, then converted back.
+            new = ev.binary_op("+" if delta > 0 else "-", old, _ONE,
+                               self.line)
+            if new.ctype.kind is not old.ctype.kind:
+                new = ev.convert(new, ctype)
         ev.model.store(ctype, ptr, new)
         frame.stack.append(old if self.postfix else new)
         return False
@@ -759,15 +754,18 @@ class SwitchDispatch(Op):
             if not ev.model.hardware:
                 raise UndefinedBehaviour(UB.READ_UNINITIALISED,
                                          "switch on unspecified value")
-            selector = 0
+            selector, kind = 0, IKind.INT
         else:
             selector = ev._int_of(value, self.line)
+            kind = ev.layout.promoted(value.ctype.kind)
         start = None
         default = None
         for case_value, case_index in self.cases:
             if case_value is None:
                 default = case_index
-            elif case_value == selector:
+            # A label converts to the promoted type of the controlling
+            # expression (ISO 6.8.4.2p5).
+            elif ev.layout.wrap(kind, case_value) == selector:
                 start = case_index
                 break
         if start is None:

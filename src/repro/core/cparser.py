@@ -209,6 +209,9 @@ class Parser:
                     raise self.error("expected an enumerator name")
                 if self.accept("="):
                     value = self.parse_constant_expression()
+                if not self.layout.in_range(IKind.INT, value):
+                    raise self.error(f"enumerator {name_tok.text} = {value} "
+                                     f"does not fit in int")
                 self.constants[name_tok.text] = (
                     lambda v: lambda line: IntLit(value=v, ctype=INT,
                                                   line=line))(value)
@@ -282,6 +285,8 @@ class Parser:
                     suffixes.append(("array", None))
                 else:
                     size = self.parse_constant_expression()
+                    if size <= 0:
+                        raise self.error("array size must be positive")
                     self.expect("]")
                     suffixes.append(("array", size))
             elif self.peek().is_punct("("):
@@ -343,11 +348,54 @@ class Parser:
     # -- constant expressions (array sizes) ----------------------------------
 
     def parse_constant_expression(self) -> int:
-        expr = self.parse_conditional()
-        value = _const_eval(expr, self.layout)
-        if value is None:
+        return self._constant(self.parse_conditional())[0]
+
+    def _constant(self, expr: Expr,
+                  evaluated: bool = True) -> tuple[int, IKind]:
+        """The value and kind of an integer constant expression (ISO
+        6.6), by C's rules.  An undefined result is a constraint error,
+        except in an operand C does not evaluate: the skipped arm of
+        ``&&``, ``||`` or ``?:``."""
+        layout = self.layout
+        if isinstance(expr, IntLit):
+            return expr.value, expr.ctype.kind  # type: ignore[union-attr]
+        if isinstance(expr, SizeofType):
+            return layout.sizeof(expr.ctype), IKind.SIZE
+        if isinstance(expr, AlignofType):
+            return layout.alignof(expr.ctype), IKind.SIZE
+        if isinstance(expr, Cast) and isinstance(expr.ctype, Integer):
+            value, _ = self._constant(expr.operand, evaluated)
+            kind = expr.ctype.kind
+            return (int(value != 0) if kind is IKind.BOOL
+                    else layout.wrap(kind, value)), kind
+        if isinstance(expr, Unary) and expr.op == "!":
+            return int(not self._constant(expr.operand, evaluated)[0]), \
+                IKind.INT
+        if isinstance(expr, Binary) and expr.op in ("&&", "||"):
+            lhs = bool(self._constant(expr.lhs, evaluated)[0])
+            rhs = bool(self._constant(
+                expr.rhs, evaluated and lhs == (expr.op == "&&"))[0])
+            return int(lhs and rhs if expr.op == "&&" else lhs or rhs), \
+                IKind.INT
+        if isinstance(expr, Conditional):
+            cond = bool(self._constant(expr.cond, evaluated)[0])
+            then, kt = self._constant(expr.then, evaluated and cond)
+            other, ko = self._constant(expr.other, evaluated and not cond)
+            kind = layout.common_kind(layout.promoted(kt),
+                                      layout.promoted(ko))
+            return layout.wrap(kind, then if cond else other), kind
+        if isinstance(expr, Unary) and expr.op in ("-", "+", "~"):
+            value, kind, ub = layout.arith(
+                expr.op, *self._constant(expr.operand, evaluated))
+        elif isinstance(expr, Binary):
+            value, kind, ub = layout.arith(
+                expr.op, *self._constant(expr.lhs, evaluated),
+                *self._constant(expr.rhs, evaluated))
+        else:
             raise self.error("expected an integer constant expression")
-        return value
+        if ub is not None and evaluated:
+            raise self.error(f"constant expression is undefined ({ub})")
+        return value, kind
 
     # -- expressions ----------------------------------------------------
 
@@ -841,42 +889,6 @@ def _limit_constants(layout: TargetLayout):
     for i, perm in enumerate(layout.arch.perm_order):
         consts[f"CHERI_PERM_{perm.name}"] = lit(IKind.SIZE, 1 << i)
     return consts
-
-
-def _const_eval(expr: Expr, layout: TargetLayout) -> int | None:
-    """Fold integer constant expressions (array sizes and friends)."""
-    if isinstance(expr, IntLit):
-        return expr.value
-    if isinstance(expr, SizeofType):
-        return layout.sizeof(expr.ctype)
-    if isinstance(expr, AlignofType):
-        return layout.alignof(expr.ctype)
-    if isinstance(expr, Unary) and not expr.postfix:
-        v = _const_eval(expr.operand, layout)
-        if v is None:
-            return None
-        return {"-": -v, "+": v, "~": ~v, "!": int(not v)}.get(expr.op)
-    if isinstance(expr, Binary):
-        lv = _const_eval(expr.lhs, layout)
-        rv = _const_eval(expr.rhs, layout)
-        if lv is None or rv is None:
-            return None
-        try:
-            return {
-                "+": lv + rv, "-": lv - rv, "*": lv * rv,
-                "/": lv // rv if rv else None,
-                "%": lv % rv if rv else None,
-                "<<": lv << rv, ">>": lv >> rv,
-                "&": lv & rv, "|": lv | rv, "^": lv ^ rv,
-                "==": int(lv == rv), "!=": int(lv != rv),
-                "<": int(lv < rv), ">": int(lv > rv),
-                "<=": int(lv <= rv), ">=": int(lv >= rv),
-                "&&": int(bool(lv) and bool(rv)),
-                "||": int(bool(lv) or bool(rv)),
-            }.get(expr.op)
-        except (ValueError, ZeroDivisionError):
-            return None
-    return None
 
 
 def _complete_array(ctype: ArrayT, init: Expr) -> ArrayT:

@@ -39,7 +39,6 @@ reasoning, which is exactly what the AST form expresses.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import replace
 from itertools import count
@@ -51,8 +50,7 @@ from repro.core.cast import (
     InitList, IntLit, Member, OffsetofExpr, Program, Return,
     SizeofType, Stmt, Switch, Unary, VaArg, While,
 )
-from repro.core.coreeval import _c_div, _c_mod
-from repro.ctypes.layout import TargetLayout
+from repro.ctypes.layout import RELATIONAL, TargetLayout
 from repro.ctypes.types import (
     ArrayT, CType, IKind, INT, Integer, Pointer, SIZE_T, Void, strip_const,
 )
@@ -244,13 +242,12 @@ def _fold_expr(expr: Expr, layout: TargetLayout) -> Expr:
                           line=expr.line)
         except CTypeError:
             return expr
-    if isinstance(expr, Binary) and isinstance(expr.lhs, IntLit) \
-            and isinstance(expr.rhs, IntLit):
-        return _fold_arith(expr, expr.op, expr.lhs, expr.rhs, layout)
+    if isinstance(expr, Binary) and expr.op not in ("&&", "||") \
+            and isinstance(expr.lhs, IntLit) and isinstance(expr.rhs, IntLit):
+        return _fold_arith(expr, layout, expr.lhs, expr.rhs)
     if isinstance(expr, Unary) and expr.op == "-" \
             and isinstance(expr.operand, IntLit):
-        return _fold_arith(expr, "-", replace(expr.operand, value=0),
-                           expr.operand, layout)
+        return _fold_arith(expr, layout, expr.operand)
     # Transient-arithmetic collapsing (S3.2/S3.3): (e + c1) - c2 and
     # (e - c1) + c2 reassociate to a single offset, eliminating any
     # excursion into non-representability.  Both constants must have
@@ -275,42 +272,25 @@ def _fold_expr(expr: Expr, layout: TargetLayout) -> Expr:
     return expr
 
 
-def _fold_arith(expr: Expr, op: str, lhs: IntLit, rhs: IntLit,
-                layout: TargetLayout) -> Expr:
-    """``lhs op rhs`` as C computes it: shifts promote the left operand,
-    everything else takes the usual arithmetic conversions, unsigned
-    results wrap.  What C leaves undefined -- a signed result out of
-    range, a bad shift count, division by zero -- stays unfolded, for
-    the program to meet when it runs."""
+def _fold_arith(expr: Expr, layout: TargetLayout, lhs: IntLit,
+                rhs: IntLit | None = None) -> Expr:
+    """``lhs op rhs``, or the unary ``op lhs``, as C computes it.  What
+    C leaves undefined -- a signed result out of range, a bad shift
+    count, division by zero -- stays unfolded, for the program to meet
+    when it runs."""
     lk = _literal_kind(lhs)
-    kind = layout.promoted(lk)
-    if op not in ("<<", ">>"):
-        kind = layout.common_kind(kind, layout.promoted(_literal_kind(rhs)))
-    a, b = layout.wrap(kind, lhs.value), rhs.value
-    if op in ("<<", ">>"):
-        if not 0 <= b < layout.value_width(kind):
-            return expr
-        result = a << b if op == "<<" else a >> b
+    if rhs is None:
+        value, kind, ub = layout.arith(expr.op, lhs.value, lk)
     else:
-        b = layout.wrap(kind, b)
-        if op in _COMPARE:
-            return IntLit(value=int(_COMPARE[op](a, b)), ctype=INT,
-                          line=expr.line)
-        if op in ("/", "%") and b == 0 or op not in _ARITH:
-            return expr
-        result = _ARITH[op](a, b)
-    if kind.is_signed and not layout.in_range(kind, result):
+        value, kind, ub = layout.arith(expr.op, lhs.value, lk, rhs.value,
+                                       _literal_kind(rhs))
+    if ub is not None:
         return expr
-    ctype = lhs.ctype if lk is kind else Integer(kind)
-    return IntLit(value=layout.wrap(kind, result), ctype=ctype,
-                  line=expr.line)
-
-
-_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
-            ">": operator.gt, "<=": operator.le, ">=": operator.ge}
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "/": _c_div, "%": _c_mod,
-          "&": operator.and_, "|": operator.or_, "^": operator.xor}
+    if expr.op in RELATIONAL:
+        ctype = INT
+    else:
+        ctype = lhs.ctype if lk is kind else Integer(kind)
+    return IntLit(value=value, ctype=ctype, line=expr.line)
 
 
 def _literal_kind(lit: IntLit) -> IKind:

@@ -12,6 +12,7 @@ Everything implementation-defined about types lives here, derived from an
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from repro.capability.abstract import Architecture
 from repro.ctypes.types import (
@@ -26,7 +27,7 @@ from repro.ctypes.types import (
     UnionT,
     Void,
 )
-from repro.errors import CTypeError
+from repro.errors import CTypeError, UB
 
 
 #: The unsigned type of each signed kind the usual arithmetic
@@ -36,6 +37,27 @@ _UNSIGNED_OF = {
     IKind.LLONG: IKind.ULLONG, IKind.INTPTR: IKind.UINTPTR,
     IKind.PTRDIFF: IKind.SIZE,
 }
+
+
+def _c_div(a: int, b: int) -> int:
+    """C division truncates toward zero."""
+    return a // b if (a < 0) == (b < 0) else -(-a // b)
+
+
+#: C's integer operators on operands already promoted and converted.
+_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _c_div, "%": lambda a, b: a - _c_div(a, b) * b,
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+    "<<": operator.lshift, ">>": operator.rshift,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+}
+_UNARY = {"-": operator.neg, "+": operator.pos, "~": operator.invert}
+_INT_RANK = RANK[IKind.INT]
+
+#: The operators whose result is an ``int`` truth value.
+RELATIONAL = frozenset(("==", "!=", "<", ">", "<=", ">="))
 
 
 @dataclass(frozen=True)
@@ -156,6 +178,45 @@ class TargetLayout:
             return hi
         # Signed type cannot represent the unsigned one: unsigned version.
         return _UNSIGNED_OF.get(hi, hi)
+
+    def arith(self, op: str, a: int, ka: IKind, b: int = 0,
+              kb: IKind | None = None) -> tuple[int, IKind, UB | None]:
+        """C's integer operator ``op`` on ``a`` of kind ``ka`` and ``b``
+        of kind ``kb``, or the unary ``op a`` when ``kb`` is None.
+
+        The operands are promoted; except for a shift, whose right
+        operand is only a count, both then convert to their common type.
+        Returns ``(value, kind, ub)``, where a relational operator gives
+        an ``int`` 0 or 1.  ``ub`` is None when C defines the result,
+        else why it does not (signed overflow, a shift count out of
+        range, division by zero); ``value`` is then the result wrapped
+        into ``kind``, or 0 where there is none.
+        """
+        mins, maxs = self._mins, self._maxs
+        kind = ka if RANK[ka] >= _INT_RANK else IKind.INT
+        shift = op == "<<" or op == ">>"
+        if kb is not None and not shift:
+            kb = kb if RANK[kb] >= _INT_RANK else IKind.INT
+            if kb is not kind:
+                kind = self.common_kind(kind, kb)
+            if not mins[kind] <= b <= maxs[kind]:
+                b = self.wrap(kind, b)
+        if not mins[kind] <= a <= maxs[kind]:
+            a = self.wrap(kind, a)
+        if kb is None:
+            result = _UNARY[op](a)
+        elif shift and not 0 <= b < self._widths[kind]:
+            return 0, kind, UB.SHIFT_OUT_OF_RANGE
+        elif op in RELATIONAL:
+            return int(_BINARY[op](a, b)), IKind.INT, None
+        elif b == 0 and (op == "/" or op == "%"):
+            return 0, kind, UB.DIVISION_BY_ZERO
+        else:
+            result = _BINARY[op](a, b)
+        if mins[kind] <= result <= maxs[kind]:
+            return result, kind, None
+        return (self.wrap(kind, result), kind,
+                UB.SIGNED_OVERFLOW if kind.is_signed else None)
 
     # -- sizeof / alignof ----------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Differential testing of integer arithmetic: random C expressions
 evaluated by the interpreter against an independent Python model of the
-ISO C semantics (promotions, usual conversions, wrapping)."""
+ISO C semantics (promotions, usual conversions, wrapping), plus a
+metamorphic property of the parser's integer constant expressions."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import OutcomeKind
-from repro.impls import CERBERUS
+from repro.impls import ALL_IMPLEMENTATIONS, CERBERUS, by_name
+from tests.test_optimizer_differential import constant_expressions
 
 U32 = 1 << 32
 U64 = 1 << 64
@@ -136,3 +138,108 @@ int main(void) {{
 """
     out = CERBERUS.run(src)
     assert out.ok, (v, out.describe())
+
+
+#: ``(C type, bits, signed)`` of the types narrower than ``int``.
+NARROW_TYPES = [("signed char", 8, True), ("unsigned char", 8, False),
+                ("short", 16, True), ("unsigned short", 16, False)]
+
+
+def _wrap_to(value: int, bits: int, signed: bool) -> int:
+    value %= 1 << bits
+    if signed and value >= 1 << (bits - 1):
+        value -= 1 << bits
+    return value
+
+
+@given(ctype=st.sampled_from(NARROW_TYPES), op=st.sampled_from(["++", "--"]),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_narrow_increment_is_defined(ctype, op, data):
+    """``c++`` is ``c += 1`` (ISO 6.5.2.4): it computes in ``int``, so
+    it never overflows a narrow type; the conversion back wraps."""
+    name, bits, signed = ctype
+    low = -(1 << (bits - 1)) if signed else 0
+    high = low + (1 << bits) - 1
+    value = data.draw(st.sampled_from([low, high]) | st.integers(low, high))
+    expected = _wrap_to(value + (1 if op == "++" else -1), bits, signed)
+    src = f"""
+int main(void) {{
+  {name} c = {value};
+  {name} old = c{op};
+  return old == {value} && c == {expected};
+}}
+"""
+    out = CERBERUS.run(src)
+    assert out.kind is OutcomeKind.EXIT, (out.describe(), out.detail, src)
+    assert out.exit_status == 1, src
+
+
+@pytest.mark.parametrize("src", [
+    "int main(void) { signed char c = 127; c++; return c == -128; }",
+    "int main(void) { short s = -32768; s--; return s == 32767; }",
+    # Converting to _Bool gives 0 or 1, never 2 or 255.
+    "int main(void) { _Bool b = 1, d = 0; b++; d--; return b + d == 2; }",
+])
+def test_narrow_increment_at_the_type_limit(src):
+    out = CERBERUS.run(src)
+    assert out.kind is OutcomeKind.EXIT, (out.describe(), out.detail)
+    assert out.exit_status == 1
+
+
+#: The implementations the constant-expression property runs on: the
+#: reference and every modelled -O3 compiler (each folds constants).
+FOLDING = (CERBERUS,) + tuple(impl for impl in ALL_IMPLEMENTATIONS
+                              if impl.opt_level == 3)
+
+
+def _is_constraint_error(out) -> bool:
+    return out.kind is OutcomeKind.ERROR and (
+        "does not fit in int" in out.detail
+        or "constant expression is undefined" in out.detail)
+
+
+@given(expr=constant_expressions())
+@settings(max_examples=60, deadline=None)
+def test_enum_constant_equals_its_expression(expr):
+    """The parser evaluates a constant expression as the program does:
+    ``enum { K = E }`` gives ``K == (E)``, or the enumerator is a
+    constraint error (``E`` does not fit in ``int`` or is undefined)."""
+    src = f"enum {{ K = {expr} }};\n" \
+        f"int main(void) {{ return K == ({expr}); }}\n"
+    for impl in FOLDING:
+        out = impl.run(src)
+        if _is_constraint_error(out):
+            continue
+        assert out.kind is OutcomeKind.EXIT, (impl.name, out.describe(),
+                                              out.detail, src)
+        assert out.exit_status == 1, (impl.name, src)
+
+
+CLANG_MORELLO = (CERBERUS, by_name("clang-morello-O0"),
+                 by_name("clang-morello-O3"))
+
+
+@pytest.mark.parametrize("src,status", [
+    # C division truncates toward zero, in constants too.
+    ("enum { A = -7 / 2 };\n"
+     "int main(void) { int x = -7, y = 2; return A == x / y ? 1 : 2; }", 1),
+    ("int main(void) { char a[-7 / 2 + 5]; return sizeof a; }", 2),
+    # ~0u is UINT_MAX, not -1.
+    ("enum { D = ~0u > 0 }; int main(void) { return D; }", 1),
+])
+def test_constant_expressions_follow_c(src, status):
+    for impl in CLANG_MORELLO:
+        out = impl.run(src)
+        assert out.kind is OutcomeKind.EXIT, (impl.name, out.describe(),
+                                              out.detail)
+        assert out.exit_status == status, impl.name
+
+
+@pytest.mark.parametrize("src", [
+    "enum { S = 1 << 40 }; int main(void) { return 0; }",
+    "enum { M = 2147483647, N }; int main(void) { return 0; }",
+])
+def test_enumerators_out_of_int_are_constraint_errors(src):
+    out = CERBERUS.run(src)
+    assert _is_constraint_error(out), (out.describe(), out.detail)

@@ -197,15 +197,16 @@ def test_a_run_that_frees_nothing_is_served_across_a_release_axis(
 #: ``digest_for(CompileCache.key_for(impl, SOURCE))`` as published by
 #: the disk layer: a refactoring of the key derivation must keep
 #: existing disk caches valid.  Refresh deliberately when
-#: ``DISK_FORMAT_VERSION`` is bumped (last: 2, when the optimiser's
-#: folding and inlining fixes changed the Core programs built).
+#: ``DISK_FORMAT_VERSION`` is bumped (last: 3, when integer constant
+#: expressions began to follow C's arithmetic, changing the array
+#: sizes, enum values and case labels of the Core programs built).
 PINNED_DIGESTS = {
     "cerberus":
-        "3c4536f40daf50dbcce469a8b27362772b3a7f346bc1e336c8887a19fc9e5c92",
+        "f3bdf8fc6fa5b296eca7676f47fff9fa76f1cf317e40c8df1c02e82dd09975ba",
     "cheriot-O0":
-        "0b0846ce7655c753fa1b3b5033f88cbc8977b634688b4b884e5968880780d482",
+        "a6ed3c2c159b1e382a77cd7b22bc7da281d94af05bc544d4d0d7a43c09a7d782",
     "clang-morello-O3-subobject-safe":
-        "3b50bab23771ebbcd8f00a803b2f007489378f5734883350a7dea36f833ced26",
+        "cf40c266e2c705245c3c18e9581143d12b1813a854969ea3024dd48f997b2bda",
 }
 
 

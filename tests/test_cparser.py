@@ -236,3 +236,70 @@ int main(void) { if (1) if (0) return 1; else return 2; return 3; }
     def test_missing_semicolon(self):
         with pytest.raises(CSyntaxError):
             parse("int main(void) { return 0 }")
+
+
+def array_length(size: str, prelude: str = "") -> int:
+    """The length the parser gives ``char a[size]``."""
+    prog = parse(f"{prelude} char a[{size}];")
+    return prog.globals[0].decl.ctype.length
+
+
+class TestConstantExpressions:
+    """Integer constant expressions (ISO 6.6) follow C's arithmetic."""
+
+    def test_division_truncates_toward_zero(self):
+        assert array_length("-7 / 2 + 5") == 2
+        assert array_length("-7 % 2 + 5") == 4
+
+    def test_usual_arithmetic_conversions(self):
+        assert array_length("(~0u > 0) + 1") == 2
+        assert array_length("(-1 < 0u) + 1") == 1
+
+    def test_conditional(self):
+        assert array_length("C", "enum { C = 1 ? 2 : 3 };") == 2
+        # The arms take their common type: -1 becomes UINT_MAX.
+        assert array_length("(0 ? 0u : -1) > 0 ? 5 : 6") == 5
+
+    def test_casts_to_integer_types(self):
+        assert array_length("(unsigned char)258") == 2
+        assert array_length("(_Bool)5 + (long)3") == 4
+        with pytest.raises(CSyntaxError):
+            array_length("(char*)3")
+
+    def test_unevaluated_operand_may_be_undefined(self):
+        assert array_length("1 || 1 / 0") == 1
+        assert array_length("0 && 1 << 40 ? 1 : 3") == 3
+        assert array_length("0 ? 1 / 0 : 3") == 3
+
+    @pytest.mark.parametrize("size", [
+        "1 / 0", "1 << 40", "1 << -1", "2147483647 + 1", "-(-2147483647 - 1)",
+    ])
+    def test_undefined_result_is_a_constraint_error(self, size):
+        with pytest.raises(CSyntaxError, match="constant expression is "
+                                               "undefined"):
+            array_length(size)
+
+    def test_unsigned_arithmetic_wraps(self):
+        assert array_length("0u - 4294967295u") == 1
+
+    @pytest.mark.parametrize("size", ["0", "-1", "2 - 3"])
+    def test_array_size_must_be_positive(self, size):
+        with pytest.raises(CSyntaxError, match="array size must be positive"):
+            array_length(size)
+
+    def test_non_positive_local_array_is_a_frontend_error(self):
+        from repro.impls import CERBERUS
+        from repro.errors import OutcomeKind
+        out = CERBERUS.run("int main(void) { char a[-1]; return 0; }")
+        assert out.kind is OutcomeKind.ERROR, out.describe()
+
+    def test_enumerator_must_fit_in_int(self):
+        assert array_length("M - 2147483646", "enum { M = 2147483647 };") == 1
+        for prelude in ("enum { M = 2147483647, N };",
+                        "enum { L = 2147483648 };", "enum { U = -1u };"):
+            with pytest.raises(CSyntaxError, match="does not fit in int"):
+                parse(prelude)
+
+    def test_non_constant_operand_is_rejected(self):
+        with pytest.raises(CSyntaxError, match="integer constant expression"):
+            parse("int n; char a[n];")

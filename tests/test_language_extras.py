@@ -92,6 +92,23 @@ int main(void) {
   }
 }""")
 
+    @pytest.mark.parametrize("evaluator", ["core", "threaded"])
+    @pytest.mark.parametrize("impl", ["cerberus", "clang-morello-O0"])
+    def test_case_label_converts_to_the_selector_type(self, impl,
+                                                      evaluator):
+        """ISO 6.8.4.2p5: ``case -1`` matches an unsigned selector of
+        UINT_MAX; a ``char`` selector promotes to ``int``, so 255 does
+        not match it."""
+        out = by_name(impl).run("""
+int main(void) {
+  unsigned x = 0u - 1;
+  signed char c = -1;
+  switch (c) { case 255: return 3; default: break; }
+  switch (x) { case -1: return 1; default: return 2; }
+}""", evaluator=evaluator)
+        assert out.kind is OutcomeKind.EXIT, (out.describe(), out.detail)
+        assert out.exit_status == 1
+
 
 class TestEnum:
     def test_sequential_values(self):
